@@ -19,6 +19,7 @@ from .algorithm import (
     FidelityMetrics,
     RunOptions,
     all_outcomes,
+    channel_weights,
     distinguishability,
     enumerate_functions,
     fidelity_table,
@@ -98,6 +99,7 @@ __all__ = [
     "build_hamiltonian",
     "build_model",
     "cars_spectrum",
+    "channel_weights",
     "design_probe",
     "design_pump",
     "design_stokes",

@@ -9,15 +9,39 @@ Two figures of merit quantify how well the physical weights approximate
 that ideal: a distinguishability D (worst balanced signal against the
 constant signal) and the Pearson correlation r between measured amplitudes
 and |S_N| over all 2^N functions.
+
+Channel-weight identity.  Each mask bin sits on one transition
+nu(w_k, v_target), so the mask only multiplies the k-th term of the
+second-order sum by (-1)^f(k):
+
+    a(f, tau) = sum_k (-1)^f(k) z_k(tau),
+    z_k(tau) = fc[w_k, v_t] conj(A_S0(nu(w_k, v_t))) c_{w_k}
+               exp(-i 2 pi c nu(w_k, 0) tau),
+
+with A_S0 the unmasked Stokes spectrum.  The weights z_k do not depend
+on f, so ``channel_weights`` designs the pulses once per (window, delay
+grid) and ``all_outcomes``/``sweep_delay`` only form signed sums.  The
+sums run sequentially in window order, as the second-order transfer
+does, and a +/-1 sign flips a term exactly, so every signal is
+bit-identical to ``run_instance``, which composes the full pipeline for
+one function and stays the readable reference that the kernel is tested
+against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .dynamics import apply_stokes, prepare_first_order, signal_magnitude
+from .dynamics import (
+    apply_stokes,
+    evolution_phase,
+    prepare_first_order,
+    signal_magnitude,
+    stokes_emission,
+)
 from .molecule import VibronicModel, vibrational_period, with_equalized_fc
 from .pulses import design_pump, design_stokes
 
@@ -43,6 +67,11 @@ DEFAULT_STOKES_DURATION = 30.0
 
 _MAX_ENUMERATION_N = 16
 
+# Enumerations up to this size are cached (all of them together hold
+# 8 190 functions); larger ones are rebuilt on each call so that an
+# n = 16 enumeration is not kept alive for the rest of the process.
+_MAX_CACHED_N = 12
+
 
 @dataclass(frozen=True)
 class BooleanFunction:
@@ -64,7 +93,7 @@ class BooleanFunction:
     def n(self) -> int:
         return len(self.bits)
 
-    @property
+    @cached_property
     def classification(self) -> str:
         ones = sum(self.bits)
         if ones in (0, self.n):
@@ -94,10 +123,24 @@ def enumerate_functions(n: int) -> list[BooleanFunction]:
         raise ValueError(
             f"domain size must be in [1, {_MAX_ENUMERATION_N}], got {n}"
         )
-    return [
+    if n <= _MAX_CACHED_N:
+        return list(_cached_functions(n))
+    return list(_build_functions(n))
+
+
+def _build_functions(n: int) -> tuple[BooleanFunction, ...]:
+    return tuple(
         BooleanFunction(bits=tuple((i >> k) & 1 for k in range(n)))
         for i in range(2**n)
-    ]
+    )
+
+
+_cached_functions = lru_cache(maxsize=_MAX_CACHED_N)(_build_functions)
+
+
+def _bit_matrix(n: int) -> np.ndarray:
+    """Boolean (2^n, n) table whose row i holds the bits of function i."""
+    return ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).astype(bool)
 
 
 @dataclass(frozen=True)
@@ -230,16 +273,91 @@ def _flatten(pulse):
     return replace(pulse, flat=True)
 
 
+def channel_weights(
+    model: VibronicModel,
+    n: int,
+    tau_multiples: np.ndarray | tuple[float, ...],
+    options: RunOptions = RunOptions(),
+) -> tuple[np.ndarray, np.ndarray]:
+    """Function-independent channel weights over a grid of delays.
+
+    Does once all the work ``run_instance`` repeats per function: the
+    tailored equalisation, pump design and first-order preparation, one
+    all-+1 Stokes design, and the evolution phases of every delay.
+    Returns ``(tau_fs, z)`` with ``tau_fs`` of shape (T,) and ``z`` of
+    shape (T, n); the signal of f at delay t is |sum_k (-1)^f(k) z[t, k]|
+    (see the module docstring).
+
+    Raises
+    ------
+    ValueError
+        If the window does not hold n retained upper levels or
+        ``v_target`` is not a retained lower level.
+    """
+    model, window = _prepared_model(model, options, n)
+    tau_b = vibrational_period(model, "B", PERIOD_LEVEL)
+    tau_fs = np.asarray(tau_multiples, dtype=float).reshape(-1) * tau_b
+    pump = design_pump(
+        model,
+        window,
+        duration_fwhm=options.resolved_pump_duration(),
+        amplitude=options.pump_amplitude,
+    )
+    if options.flat_envelopes:
+        pump = _flatten(pump)
+    first = prepare_first_order(model, pump, window)
+    stokes = design_stokes(
+        model,
+        options.v_target,
+        window,
+        (0,) * n,
+        duration_fwhm=options.stokes_duration,
+        amplitude=options.stokes_amplitude,
+    )
+    if options.flat_envelopes:
+        stokes = _flatten(stokes)
+    ws = first.w_levels
+    v_t = options.v_target
+    # Same factors, multiplied in the same order, as the sum in apply_stokes.
+    stokes_leg = model.fc[ws, v_t] * stokes_emission(model, ws, stokes)[:, v_t]
+    pump_leg = first.c * evolution_phase(model, ws, tau_fs[:, None])
+    return tau_fs, stokes_leg * pump_leg
+
+
+def _signal_magnitudes(z: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """|sum_k (-1)^bits[f, k] z[t, k]| for every (t, f), shape (T, F).
+
+    The sum is accumulated term by term in window order, starting from
+    zero, as ``apply_stokes`` sums over the window; a matrix product
+    would reorder it and move the last digits.
+    """
+    acc = np.zeros((z.shape[0], bits.shape[0]), dtype=complex)
+    for k in range(z.shape[1]):
+        term = z[:, k, None]
+        acc += np.where(bits[:, k], -term, term)
+    return np.abs(acc)
+
+
 def all_outcomes(
     model: VibronicModel,
     n: int,
     tau_multiple: float,
     options: RunOptions = RunOptions(),
 ) -> list[DJOutcome]:
-    """Every Boolean function on n points at one delay."""
+    """Every Boolean function on n points at one delay.
+
+    Built from one set of channel weights; each signal equals that of
+    ``run_instance`` for the same function, bit for bit.
+    """
+    functions = enumerate_functions(n)
+    tau_fs, z = channel_weights(model, n, (tau_multiple,), options)
+    bits = _bit_matrix(n)
+    signals = _signal_magnitudes(z, bits)[0].tolist()
+    signed_sums = (n - 2 * bits.sum(axis=1)).tolist()
+    tau = float(tau_fs[0])
     return [
-        run_instance(model, f, tau_multiple, options)
-        for f in enumerate_functions(n)
+        DJOutcome(f, tau, tau_multiple, signal, signed_sum)
+        for f, signal, signed_sum in zip(functions, signals, signed_sums)
     ]
 
 
@@ -251,13 +369,12 @@ def sweep_delay(
 ) -> np.ndarray:
     """Signal trace over a grid of delay multiples.
 
-    Returns shape (len(tau_multiples), 2): columns (tau_fs, signal).
+    Returns shape (len(tau_multiples), 2): columns (tau_fs, signal), equal
+    to ``run_instance`` at each delay.
     """
-    rows = []
-    for m in np.asarray(tau_multiples, dtype=float):
-        outcome = run_instance(model, f, float(m), options)
-        rows.append((outcome.tau_fs, outcome.signal))
-    return np.array(rows)
+    tau_fs, z = channel_weights(model, f.n, tau_multiples, options)
+    bits = np.array([f.bits], dtype=bool)
+    return np.column_stack([tau_fs, _signal_magnitudes(z, bits)[:, 0]])
 
 
 def distinguishability(outcomes: list[DJOutcome]) -> float:
@@ -268,8 +385,13 @@ def distinguishability(outcomes: list[DJOutcome]) -> float:
     here, and the larger value is used as the reference.
     """
     _require_single_delay(outcomes)
-    constants = [o.signal for o in outcomes if o.function.classification == "constant"]
-    balanced = [o.signal for o in outcomes if o.function.classification == "balanced"]
+    constants, balanced = [], []
+    for o in outcomes:
+        kind = o.function.classification
+        if kind == "constant":
+            constants.append(o.signal)
+        elif kind == "balanced":
+            balanced.append(o.signal)
     if not constants:
         raise ValueError("need at least one constant-function outcome")
     if not balanced:
@@ -310,6 +432,48 @@ def _require_single_delay(outcomes: list[DJOutcome]) -> None:
 TABLE_ROWS: tuple[tuple[int, bool], ...] = ((4, False), (6, False), (8, False), (8, True))
 
 
+def table_outcomes(
+    model: VibronicModel,
+    tau_multiples: tuple[float, ...] = (0.0, 1.0, 2.0),
+    rows: tuple[tuple[int, bool], ...] = TABLE_ROWS,
+    options: RunOptions = RunOptions(),
+) -> list[tuple[tuple[int, bool], list[list[DJOutcome]]]]:
+    """Every outcome of the benchmark table, enumerated once per cell.
+
+    One entry per row, ``((n, tailored), cells)``, where ``cells`` holds
+    the ``all_outcomes`` list of each delay in order.  A configured
+    ``options.w_window`` applies only to the rows whose n matches its
+    size; the other rows use their default windows.
+    """
+    return [
+        (
+            (n, tailored),
+            [
+                all_outcomes(model, n, m, _row_options(options, n, tailored))
+                for m in tau_multiples
+            ],
+        )
+        for n, tailored in rows
+    ]
+
+
+def table_metrics(
+    table: list[tuple[tuple[int, bool], list[list[DJOutcome]]]],
+) -> list[FidelityMetrics]:
+    """D and r of every cell of a ``table_outcomes`` result, row by row."""
+    return [
+        FidelityMetrics(
+            n=n,
+            tau_multiple=outcomes[0].tau_multiple,
+            tailored=tailored,
+            r=pearson_r(outcomes),
+            d=distinguishability(outcomes),
+        )
+        for (n, tailored), cells in table
+        for outcomes in cells
+    ]
+
+
 def fidelity_table(
     model: VibronicModel,
     tau_multiples: tuple[float, ...] = (0.0, 1.0, 2.0),
@@ -317,24 +481,13 @@ def fidelity_table(
     options: RunOptions = RunOptions(),
 ) -> list[FidelityMetrics]:
     """Correlation/distinguishability grid over window sizes and delays."""
-    out = []
-    for n, tailored in rows:
-        row_options = _with_tailored(options, tailored)
-        for m in tau_multiples:
-            outcomes = all_outcomes(model, n, m, row_options)
-            out.append(
-                FidelityMetrics(
-                    n=n,
-                    tau_multiple=m,
-                    tailored=tailored,
-                    r=pearson_r(outcomes),
-                    d=distinguishability(outcomes),
-                )
-            )
-    return out
+    return table_metrics(table_outcomes(model, tau_multiples, rows, options))
 
 
-def _with_tailored(options: RunOptions, tailored: bool) -> RunOptions:
-    if options.tailored == tailored:
+def _row_options(options: RunOptions, n: int, tailored: bool) -> RunOptions:
+    window = options.w_window
+    if window is not None and window[1] - window[0] + 1 != n:
+        window = None
+    if options.tailored == tailored and options.w_window == window:
         return options
-    return replace(options, tailored=tailored)
+    return replace(options, tailored=tailored, w_window=window)

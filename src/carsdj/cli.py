@@ -42,9 +42,9 @@ from .algorithm import (
     TABLE_ROWS,
     BooleanFunction,
     RunOptions,
-    all_outcomes,
-    fidelity_table,
     sweep_delay,
+    table_metrics,
+    table_outcomes,
 )
 from .dvr import Grid
 from .dynamics import (
@@ -589,8 +589,8 @@ def _cmd_sweep(config: ExperimentConfig, out: Path, args) -> None:
 
 def _cmd_table1(config: ExperimentConfig, out: Path, args) -> None:
     model = config.build()
-    options = config.run_options()
-    metrics = fidelity_table(model, tuple(config.tau), TABLE_ROWS, options)
+    table = table_outcomes(model, tuple(config.tau), TABLE_ROWS, config.run_options())
+    metrics = table_metrics(table)
     metric_rows = [
         (m.n, m.tau_multiple, m.tailored, m.r, m.d, m.r_pct, m.d_pct)
         for m in metrics
@@ -602,22 +602,20 @@ def _cmd_table1(config: ExperimentConfig, out: Path, args) -> None:
         ("n", "tau_multiple", "tailored", "r", "d", "r_pct", "d_pct"),
         metric_rows,
     )
-    for n, tailored in TABLE_ROWS:
-        row_options = replace(options, tailored=tailored)
-        rows = []
-        for multiple in config.tau:
-            for o in all_outcomes(model, n, multiple, row_options):
-                rows.append(
-                    (
-                        o.function.index,
-                        o.function.as_string,
-                        o.function.classification,
-                        o.s_n,
-                        o.tau_fs,
-                        o.tau_multiple,
-                        o.signal,
-                    )
-                )
+    for (n, tailored), cells in table:
+        rows = [
+            (
+                o.function.index,
+                o.function.as_string,
+                o.function.classification,
+                o.s_n,
+                o.tau_fs,
+                o.tau_multiple,
+                o.signal,
+            )
+            for outcomes in cells
+            for o in outcomes
+        ]
         name = f"outcomes_n{n}t.csv" if tailored else f"outcomes_n{n}.csv"
         _write_csv(
             out / name,

@@ -107,22 +107,43 @@ def apply_stokes(
     (see the module docstring).  Any ``stokes.delay`` is ignored here so
     callers may carry it for bookkeeping.
     """
-    stokes_local = replace(stokes, delay=0.0)
     ws = first.w_levels
-    # nu matrix over (window level, every retained lower level)
+    emission = stokes_emission(model, ws, stokes)
+    weights = first.c * evolution_phase(model, ws, tau)
+    a = np.einsum("wv,wv,w->v", model.fc[ws, :], emission, weights)
+    return SecondOrderCoherence(a=a, tau=tau)
+
+
+def stokes_emission(
+    model: VibronicModel, ws: np.ndarray, stokes: PulseSpec
+) -> np.ndarray:
+    """conj(A_S0(nu(w, v))) over (upper levels ``ws``, every retained v).
+
+    The spectrum is taken in the pulse's own frame: ``stokes.delay`` is
+    stripped, since the delay enters through ``evolution_phase``.
+    """
+    stokes_local = replace(stokes, delay=0.0)
     nu_wv = (
         model.t_e
         + model.b_states.energies[ws][:, None]
         - model.x_states.energies[None, :]
     )
-    emission = np.conj(spectral_amplitude(stokes_local, nu_wv.ravel())).reshape(
+    return np.conj(spectral_amplitude(stokes_local, nu_wv.ravel())).reshape(
         nu_wv.shape
     )
+
+
+def evolution_phase(
+    model: VibronicModel, ws: np.ndarray, tau: float | np.ndarray
+) -> np.ndarray:
+    """Upper-state free evolution exp(-i 2 pi c nu(w, 0) tau) over ``ws``.
+
+    A scalar ``tau`` gives shape (len(ws),); a column of delays, shape
+    (T, 1), gives the whole (T, len(ws)) grid, element for element the
+    same values as one scalar call per delay.
+    """
     nu_w0 = model.t_e + model.b_states.energies[ws] - model.x_states.energies[0]
-    evolution = np.exp(-1j * TWO_PI_C * nu_w0 * tau)
-    weights = first.c * evolution
-    a = np.einsum("wv,wv,w->v", model.fc[ws, :], emission, weights)
-    return SecondOrderCoherence(a=a, tau=tau)
+    return np.exp(-1j * TWO_PI_C * nu_w0 * tau)
 
 
 def signal_magnitude(second: SecondOrderCoherence, v_target: int) -> float:

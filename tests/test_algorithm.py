@@ -15,6 +15,7 @@ from carsdj.algorithm import (
     FidelityMetrics,
     RunOptions,
     all_outcomes,
+    channel_weights,
     distinguishability,
     enumerate_functions,
     fidelity_table,
@@ -22,7 +23,11 @@ from carsdj.algorithm import (
     run_instance,
     s_n,
     sweep_delay,
+    table_metrics,
+    table_outcomes,
 )
+
+_KERNEL_TAUS = (0.0, 0.5, 1.0, 1.5, 2.0)
 
 
 def _outcome(f, signal, tau=0.0):
@@ -221,3 +226,106 @@ def test_percentage_rounding():
     m = FidelityMetrics(n=4, tau_multiple=0.0, tailored=False, r=0.978, d=0.8649)
     assert m.r_pct == 98
     assert m.d_pct == 86
+
+
+def test_fidelity_table_is_built_from_table_outcomes(model):
+    table = table_outcomes(model, (1.0,), ((4, False), (8, True)))
+    assert [(row, len(cells)) for row, cells in table] == [
+        ((4, False), 1), ((8, True), 1),
+    ]
+    direct = all_outcomes(model, 8, 1.0, RunOptions(tailored=True))
+    assert [o.signal for o in table[1][1][0]] == [o.signal for o in direct]
+    rows = ((4, False), (8, True))
+    assert fidelity_table(model, (1.0,), rows) == table_metrics(table)
+
+
+def test_table_rows_of_another_size_use_default_windows(model):
+    # a configured window applies only to the row whose n matches it
+    options = RunOptions(w_window=(20, 25))
+    table = dict(table_outcomes(model, (1.0,), ((4, False), (6, False)), options))
+    default_4 = all_outcomes(model, 4, 1.0)
+    shifted_6 = all_outcomes(model, 6, 1.0, options)
+    assert [o.signal for o in table[(4, False)][0]] == [o.signal for o in default_4]
+    assert [o.signal for o in table[(6, False)][0]] == [o.signal for o in shifted_6]
+
+
+def test_enumeration_returns_a_fresh_list_each_call():
+    first = enumerate_functions(4)
+    first.clear()
+    assert len(enumerate_functions(4)) == 16
+    assert enumerate_functions(6) is not enumerate_functions(6)
+    # small domains share their immutable functions; large ones are not kept
+    assert enumerate_functions(12)[5] is enumerate_functions(12)[5]
+    assert enumerate_functions(13)[5] is not enumerate_functions(13)[5]
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+@pytest.mark.parametrize(
+    "options",
+    [RunOptions(), RunOptions(tailored=True), RunOptions(flat_envelopes=True)],
+    ids=["plain", "tailored", "flat"],
+)
+def test_kernel_equals_run_instance_exactly(model, n, options):
+    for tau in _KERNEL_TAUS:
+        for o in all_outcomes(model, n, tau, options):
+            ref = run_instance(model, o.function, tau, options)
+            assert o.signal == ref.signal
+            assert o.tau_fs == ref.tau_fs
+            assert o.s_n == ref.s_n
+
+
+@pytest.mark.parametrize(
+    "n, window, tau", [(10, (17, 26), 1.5), (12, (16, 27), 0.5)]
+)
+def test_kernel_equals_run_instance_on_wide_windows(model, n, window, tau):
+    options = RunOptions(w_window=window)
+    outs = all_outcomes(model, n, tau, options)
+    assert len(outs) == 2**n
+    for o in outs:
+        assert o.signal == run_instance(model, o.function, tau, options).signal
+
+
+def test_sweep_equals_run_instance_exactly(model):
+    multiples = np.linspace(0.0, 2.5, 501)
+    for f in enumerate_functions(4):
+        trace = sweep_delay(model, f, multiples)
+        expected = np.array(
+            [
+                (o.tau_fs, o.signal)
+                for o in (run_instance(model, f, float(m)) for m in multiples)
+            ]
+        )
+        assert np.array_equal(trace, expected)
+
+
+def test_sixteen_point_enumeration_is_complement_symmetric(model):
+    outs = all_outcomes(model, 16, 1.0, RunOptions(w_window=(14, 29)))
+    signals = np.array([o.signal for o in outs])
+    assert signals.size == 2**16
+    # index of the complement of f is 2^16 - 1 - index(f)
+    assert np.array_equal(signals, signals[::-1])
+
+
+def test_channel_weights_shape_and_delays(model):
+    taus = np.array([0.0, 1.0, 2.0])
+    tau_fs, z = channel_weights(model, 4, taus)
+    assert tau_fs.shape == (3,) and z.shape == (3, 4)
+    np.testing.assert_allclose(tau_fs, taus * 387.38497165, atol=1e-3)
+    # the constant-0 signal is the plain sum of the weights
+    constant = BooleanFunction((0, 0, 0, 0))
+    assert abs(z[1].sum()) == pytest.approx(run_instance(model, constant, 1.0).signal)
+
+
+def test_channel_weights_reject_bad_windows_and_targets(model):
+    with pytest.raises(ValueError, match="holds 3 levels"):
+        channel_weights(model, 4, (0.0,), RunOptions(w_window=(20, 22)))
+    with pytest.raises(ValueError, match="no default window"):
+        channel_weights(model, 10, (0.0,))
+    with pytest.raises(ValueError, match="upper level"):
+        channel_weights(model, 4, (0.0,), RunOptions(w_window=(38, 41)))
+    with pytest.raises(ValueError, match="outside retained"):
+        channel_weights(model, 4, (0.0,), RunOptions(w_window=(38, 41), tailored=True))
+    with pytest.raises(ValueError, match="lower level"):
+        channel_weights(model, 4, (0.0,), RunOptions(v_target=40))
+    with pytest.raises(ValueError, match="lower level"):
+        channel_weights(model, 4, (0.0,), RunOptions(v_target=-1))

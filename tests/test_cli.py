@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import carsdj.cli as cli
+from carsdj import RunOptions, all_outcomes
 from carsdj.cli import ConfigError, main, parse_config
 
 
@@ -148,6 +149,25 @@ def test_table1_writes_metrics_and_outcomes(tmp_path, capsys):
         ]
         assert len(rows) == count
     assert "tailored" in capsys.readouterr().out
+
+
+def test_table1_keeps_a_configured_window_to_its_own_row(tmp_path, model):
+    # rows of another size than the configured window use default windows
+    config = tmp_path / "run.conf"
+    config.write_text("n = 6\nw_min = 20\nw_max = 25\ntau = 1\n")
+    assert main(["table1", "--config", str(config), "--out", str(tmp_path)]) == 0
+    for name, n, options in (
+        ("outcomes_n4.csv", 4, RunOptions()),
+        ("outcomes_n6.csv", 6, RunOptions(w_window=(20, 25))),
+        ("outcomes_n8t.csv", 8, RunOptions(tailored=True)),
+    ):
+        _, rows = _read_csv(tmp_path / name)
+        expected = [f"{o.signal:.12g}" for o in all_outcomes(model, n, 1.0, options)]
+        assert [cells[-1] for cells in rows] == expected
+    assert "# w_min=20" in _header_lines(tmp_path / "metrics.csv")
+    # the default window of n = 4, given explicitly, also runs every row
+    config.write_text("w_min = 20\nw_max = 23\n")
+    assert main(["table1", "--config", str(config), "--out", str(tmp_path)]) == 0
 
 
 def test_oracle_check_passes_on_a_small_sample(tmp_path):
