@@ -9,7 +9,7 @@ with matplotlib installed it also saves the two traces.
 
 import numpy as np
 
-from carsdj.algorithm import BooleanFunction, sweep_delay
+from carsdj.algorithm import PERIOD_LEVEL, BooleanFunction, sweep_delay
 from carsdj.molecule import build_model, vibrational_period
 
 try:
@@ -25,7 +25,7 @@ N_POINTS = 301
 
 def main() -> None:
     model = build_model()
-    tau_b = vibrational_period(model, "B", 22)
+    tau_b = vibrational_period(model, "B", PERIOD_LEVEL)
     multiples = np.linspace(0.0, 2.5, N_POINTS)
 
     constant = BooleanFunction((0, 0, 0, 0))
@@ -35,7 +35,7 @@ def main() -> None:
     const_a = const_trace[:, 1]
     alt_a = alt_trace[:, 1]
 
-    print(f"upper-state period at level 22: {tau_b:.3f} fs")
+    print(f"upper-state period at level {PERIOD_LEVEL}: {tau_b:.3f} fs")
     print(f"constant mask {constant.as_string}, alternating mask {alternating.as_string}\n")
 
     norm = const_a / const_a.max()

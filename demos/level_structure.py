@@ -9,6 +9,7 @@ the two potential wells with their retained levels.
 
 import numpy as np
 
+from carsdj.algorithm import PERIOD_LEVEL
 from carsdj.molecule import (
     DEFAULT_GRID,
     IODINE_B,
@@ -59,10 +60,11 @@ def main() -> None:
         print(f"  {label}: {states.n_bound} retained, worst rel error {worst:.2e}")
 
     print("\n== vibrational clock ==")
-    print(f"  upper-state period at level 22: {vibrational_period(model, 'B', 22):9.3f} fs")
+    w = PERIOD_LEVEL
+    print(f"  upper-state period at level {w}: {vibrational_period(model, 'B', w):9.3f} fs")
     print(f"  lower-state period at level 0:  {vibrational_period(model, 'X', 0):9.3f} fs")
-    print(f"  pump line    nu(22, 0) = {transition_wavenumber(model, 22, 0):12.4f} cm^-1")
-    print(f"  Stokes line  nu(22, 4) = {transition_wavenumber(model, 22, 4):12.4f} cm^-1")
+    print(f"  pump line    nu({w}, 0) = {transition_wavenumber(model, w, 0):12.4f} cm^-1")
+    print(f"  Stokes line  nu({w}, 4) = {transition_wavenumber(model, w, 4):12.4f} cm^-1")
 
     print("\n== Raman channel scores |fc[w,0] * fc[w,4]| over the widest window ==")
     scores = fc_window_score(model, 4, (18, 25))

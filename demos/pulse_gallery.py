@@ -8,6 +8,7 @@ masked Stokes variants against the transition lines they address.
 
 import numpy as np
 
+from carsdj.algorithm import PERIOD_LEVEL
 from carsdj.molecule import build_model, transition_wavenumber, vibrational_period
 from carsdj.pulses import (
     design_probe,
@@ -42,7 +43,7 @@ def describe(name, pulse) -> None:
 
 def main() -> None:
     model = build_model()
-    tau_b = vibrational_period(model, "B", 22)
+    tau_b = vibrational_period(model, "B", PERIOD_LEVEL)
 
     pump = design_pump(model, WINDOW, duration_fwhm=30.0)
     probe = design_probe(model)

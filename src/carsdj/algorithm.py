@@ -43,7 +43,7 @@ from .dynamics import (
     stokes_emission,
 )
 from .molecule import VibronicModel, vibrational_period, with_equalized_fc
-from .pulses import design_pump, design_stokes
+from .pulses import PulseSpec, design_pump, design_stokes
 
 # Level windows sized so the target channel stays centred on w = 22.
 DEFAULT_WINDOWS: dict[int, tuple[int, int]] = {
@@ -165,13 +165,20 @@ class RunOptions:
     flat_envelopes: bool = False
 
     def resolved_window(self, n: int) -> tuple[int, int]:
-        if self.w_window is not None:
-            return self.w_window
-        if n not in DEFAULT_WINDOWS:
+        """The window of a run on n points; ValueError unless it holds n levels."""
+        if self.w_window is None:
+            if n not in DEFAULT_WINDOWS:
+                raise ValueError(
+                    f"no default window for domain size {n}; pass w_window"
+                )
+            return DEFAULT_WINDOWS[n]
+        w_lo, w_hi = self.w_window
+        if w_hi - w_lo + 1 != n:
             raise ValueError(
-                f"no default window for domain size {n}; pass w_window"
+                f"window [{w_lo}, {w_hi}] holds {w_hi - w_lo + 1} levels "
+                f"for a domain of {n} points"
             )
-        return DEFAULT_WINDOWS[n]
+        return self.w_window
 
     def resolved_pump_duration(self) -> float:
         if self.pump_duration is not None:
@@ -211,14 +218,11 @@ class FidelityMetrics:
         return int(round(100.0 * self.d))
 
 
-def _prepared_model(model: VibronicModel, options: RunOptions, n: int):
+def prepare_model(
+    model: VibronicModel, options: RunOptions, n: int
+) -> tuple[VibronicModel, tuple[int, int]]:
+    """The model a run on n points uses, tailored when requested, and its window."""
     window = options.resolved_window(n)
-    w_lo, w_hi = window
-    if w_hi - w_lo + 1 != n:
-        raise ValueError(
-            f"window [{w_lo}, {w_hi}] holds {w_hi - w_lo + 1} levels "
-            f"for a domain of {n} points"
-        )
     if options.tailored:
         model = with_equalized_fc(model, window, options.v_target)
     return model, window
@@ -236,29 +240,11 @@ def run_instance(
     over the window, mask design from the function bits, Stokes transfer
     at the delay, and the channel amplitude readout.
     """
-    model, window = _prepared_model(model, options, f.n)
+    model, window = prepare_model(model, options, f.n)
     tau_b = vibrational_period(model, "B", PERIOD_LEVEL)
     tau = tau_multiple * tau_b
-    pump = design_pump(
-        model,
-        window,
-        duration_fwhm=options.resolved_pump_duration(),
-        amplitude=options.pump_amplitude,
-    )
-    if options.flat_envelopes:
-        pump = _flatten(pump)
+    pump, stokes = design_pulses(model, window, f.bits, options, delay=tau)
     first = prepare_first_order(model, pump, window)
-    stokes = design_stokes(
-        model,
-        options.v_target,
-        window,
-        f.bits,
-        duration_fwhm=options.stokes_duration,
-        amplitude=options.stokes_amplitude,
-        delay=tau,
-    )
-    if options.flat_envelopes:
-        stokes = _flatten(stokes)
     second = apply_stokes(model, first, stokes, tau)
     return DJOutcome(
         function=f,
@@ -269,8 +255,32 @@ def run_instance(
     )
 
 
-def _flatten(pulse):
-    return replace(pulse, flat=True)
+def design_pulses(
+    model: VibronicModel,
+    window: tuple[int, int],
+    bits: tuple[int, ...],
+    options: RunOptions,
+    delay: float = 0.0,
+) -> tuple[PulseSpec, PulseSpec]:
+    """Pump and bit-masked Stokes pulse of a run, with flat envelopes if set."""
+    pump = design_pump(
+        model,
+        window,
+        duration_fwhm=options.resolved_pump_duration(),
+        amplitude=options.pump_amplitude,
+    )
+    stokes = design_stokes(
+        model,
+        options.v_target,
+        window,
+        bits,
+        duration_fwhm=options.stokes_duration,
+        amplitude=options.stokes_amplitude,
+        delay=delay,
+    )
+    if options.flat_envelopes:
+        pump, stokes = replace(pump, flat=True), replace(stokes, flat=True)
+    return pump, stokes
 
 
 def channel_weights(
@@ -294,28 +304,11 @@ def channel_weights(
         If the window does not hold n retained upper levels or
         ``v_target`` is not a retained lower level.
     """
-    model, window = _prepared_model(model, options, n)
+    model, window = prepare_model(model, options, n)
     tau_b = vibrational_period(model, "B", PERIOD_LEVEL)
     tau_fs = np.asarray(tau_multiples, dtype=float).reshape(-1) * tau_b
-    pump = design_pump(
-        model,
-        window,
-        duration_fwhm=options.resolved_pump_duration(),
-        amplitude=options.pump_amplitude,
-    )
-    if options.flat_envelopes:
-        pump = _flatten(pump)
+    pump, stokes = design_pulses(model, window, (0,) * n, options)
     first = prepare_first_order(model, pump, window)
-    stokes = design_stokes(
-        model,
-        options.v_target,
-        window,
-        (0,) * n,
-        duration_fwhm=options.stokes_duration,
-        amplitude=options.stokes_amplitude,
-    )
-    if options.flat_envelopes:
-        stokes = _flatten(stokes)
     ws = first.w_levels
     v_t = options.v_target
     # Same factors, multiplied in the same order, as the sum in apply_stokes.

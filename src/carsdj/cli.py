@@ -34,43 +34,40 @@ from typing import Callable
 import numpy as np
 
 from .algorithm import (
-    DEFAULT_PUMP_DURATION,
-    DEFAULT_STOKES_DURATION,
-    DEFAULT_TAILORED_PUMP_DURATION,
     DEFAULT_WINDOWS,
     PERIOD_LEVEL,
     TABLE_ROWS,
     BooleanFunction,
     RunOptions,
+    design_pulses,
+    prepare_model,
     sweep_delay,
     table_metrics,
     table_outcomes,
 )
 from .dvr import Grid
 from .dynamics import (
+    ORACLE_TARGET_LEVELS,
+    ORACLE_UPPER_LEVELS,
     apply_stokes,
     prepare_first_order,
+    random_oracle_configs,
     signal_magnitude,
     time_domain_oracle,
 )
 from .molecule import (
+    DEFAULT_GRID,
     DEFAULT_N_B,
     DEFAULT_N_X,
+    IODINE_B,
     IODINE_REDUCED_MASS,
+    IODINE_X,
     VibronicModel,
     build_model,
-    transition_wavenumber,
     vibrational_period,
-    with_equalized_fc,
 )
 from .morse import MorseParams, morse_analytic_levels
-from .pulses import (
-    PulseSpec,
-    design_probe,
-    design_pump,
-    design_stokes,
-    spectral_amplitude,
-)
+from .pulses import PulseSpec, design_probe, spectral_amplitude
 
 # Largest admissible frequency/time-domain disagreement for oracle-check.
 ORACLE_TOLERANCE = 1e-6
@@ -82,42 +79,46 @@ class ConfigError(ValueError):
     """Invalid configuration text, flag value, or key combination."""
 
 
+_RUN_DEFAULTS = RunOptions()
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully resolved experiment description.
 
     Field order is the canonical key order of the config format and of
-    the header echoed into every output file.  ``w_min``/``w_max`` and
-    ``pump_duration`` accept the literal value ``auto`` (stored as
-    None), which resolves to the standard window for the domain size
-    and to the calibrated pump duration for the mode.
+    the header echoed into every output file, and each field's annotation
+    is its key's value type.  ``w_min``/``w_max`` and ``pump_duration``
+    accept the literal value ``auto`` (stored as None), which resolves to
+    the standard window for the domain size and to the calibrated pump
+    duration for the mode.
     """
 
-    x_d_e: float = 12550.0
-    x_r_e: float = 2.666
-    x_beta: float = 1.858
-    b_d_e: float = 4500.0
-    b_r_e: float = 3.016
-    b_beta: float = 1.850
-    b_t_e: float = 15647.0
+    x_d_e: float = IODINE_X.d_e
+    x_r_e: float = IODINE_X.r_e
+    x_beta: float = IODINE_X.beta
+    b_d_e: float = IODINE_B.d_e
+    b_r_e: float = IODINE_B.r_e
+    b_beta: float = IODINE_B.beta
+    b_t_e: float = IODINE_B.t_e
     reduced_mass: float = IODINE_REDUCED_MASS
-    r_min: float = 2.0
-    r_max: float = 6.5
-    n_points: int = 512
+    r_min: float = DEFAULT_GRID.r_min
+    r_max: float = DEFAULT_GRID.r_max
+    n_points: int = DEFAULT_GRID.n_points
     n_x_states: int = DEFAULT_N_X
     n_b_states: int = DEFAULT_N_B
     n: int = 4
-    v_target: int = 4
+    v_target: int = _RUN_DEFAULTS.v_target
     w_min: int | None = None
     w_max: int | None = None
     tau: tuple[float, ...] = (0.0, 1.0, 2.0)
-    tailored: bool = False
-    flat: bool = False
-    pump_duration: float | None = None
-    stokes_duration: float = DEFAULT_STOKES_DURATION
+    tailored: bool = _RUN_DEFAULTS.tailored
+    flat: bool = _RUN_DEFAULTS.flat_envelopes
+    pump_duration: float | None = _RUN_DEFAULTS.pump_duration
+    stokes_duration: float = _RUN_DEFAULTS.stokes_duration
     probe_duration: float = 1000.0
-    pump_amplitude: float = 1.0
-    stokes_amplitude: float = 1.0
+    pump_amplitude: float = _RUN_DEFAULTS.pump_amplitude
+    stokes_amplitude: float = _RUN_DEFAULTS.stokes_amplitude
     sweep_max_multiple: float = 2.5
     sweep_points: int = 501
     oracle_configs: int = 20
@@ -137,16 +138,10 @@ class ExperimentConfig:
         return Grid(r_min=self.r_min, r_max=self.r_max, n_points=self.n_points)
 
     def resolved_window(self) -> tuple[int, int]:
-        if self.w_min is not None and self.w_max is not None:
-            return (self.w_min, self.w_max)
-        return DEFAULT_WINDOWS[self.n]
+        return self.run_options().resolved_window(self.n)
 
     def resolved_pump_duration(self) -> float:
-        if self.pump_duration is not None:
-            return self.pump_duration
-        if self.tailored:
-            return DEFAULT_TAILORED_PUMP_DURATION
-        return DEFAULT_PUMP_DURATION
+        return self.run_options().resolved_pump_duration()
 
     def run_options(self) -> RunOptions:
         window = None
@@ -163,8 +158,11 @@ class ExperimentConfig:
             flat_envelopes=self.flat,
         )
 
-    def build(self) -> VibronicModel:
-        return build_model(
+    def build(self, upper: int = 0, lower: int = 0) -> VibronicModel:
+        """Solve the model; ConfigError unless it retains upper level ``upper``
+        and lower level ``lower`` (the bound-state cutoff may retain fewer
+        levels than ``n_b_states`` and ``n_x_states`` ask for)."""
+        model = build_model(
             x_params=self.x_params(),
             b_params=self.b_params(),
             reduced_mass=self.reduced_mass,
@@ -172,13 +170,24 @@ class ExperimentConfig:
             n_x=self.n_x_states,
             n_b=self.n_b_states,
         )
+        for key, side, level, kept in (
+            ("n_b_states", "upper", upper, model.n_b),
+            ("n_x_states", "lower", lower, model.n_x),
+        ):
+            if level >= kept:
+                raise ConfigError(
+                    f"this run needs {side} level {level}, but {key} = "
+                    f"{getattr(self, key)} retained only {kept} {side} levels "
+                    f"(0-{kept - 1})"
+                )
+        return model
 
     def prepared_model(self) -> VibronicModel:
         """Model with the tailored equalization applied when requested."""
-        model = self.build()
-        if self.tailored:
-            model = with_equalized_fc(model, self.resolved_window(), self.v_target)
-        return model
+        if not self.tailored:
+            return self.build()
+        model = self.build(self.resolved_window()[1], self.v_target)
+        return prepare_model(model, self.run_options(), self.n)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -217,48 +226,41 @@ def _check_out_dir(v: str) -> str | None:
     return None if v else "out_dir must not be empty"
 
 
-@dataclass(frozen=True)
-class _Key:
-    name: str
-    kind: str  # float | int | bool | floats | str | auto_float | auto_int
-    check: Callable | None = None
+# Range check of each key that has one; every key's value type is its
+# field annotation in ExperimentConfig.
+_CHECKS: dict[str, Callable] = {
+    "x_d_e": _positive("x_d_e"),
+    "x_r_e": _positive("x_r_e"),
+    "x_beta": _positive("x_beta"),
+    "b_d_e": _positive("b_d_e"),
+    "b_r_e": _positive("b_r_e"),
+    "b_beta": _positive("b_beta"),
+    "b_t_e": _nonnegative("b_t_e"),
+    "reduced_mass": _positive("reduced_mass"),
+    "r_min": _positive("r_min"),
+    "r_max": _positive("r_max"),
+    "n_points": _at_least("n_points", 16),
+    "n_x_states": _at_least("n_x_states", 1),
+    "n_b_states": _at_least("n_b_states", 1),
+    "n": _check_n,
+    "v_target": _nonnegative("v_target"),
+    "w_min": _nonnegative("w_min"),
+    "w_max": _nonnegative("w_max"),
+    "tau": _check_tau,
+    "pump_duration": _positive("pump_duration"),
+    "stokes_duration": _positive("stokes_duration"),
+    "probe_duration": _positive("probe_duration"),
+    "pump_amplitude": _positive("pump_amplitude"),
+    "stokes_amplitude": _positive("stokes_amplitude"),
+    "sweep_max_multiple": _positive("sweep_max_multiple"),
+    "sweep_points": _at_least("sweep_points", 2),
+    "oracle_configs": _at_least("oracle_configs", 1),
+    "oracle_seed": _nonnegative("oracle_seed"),
+    "out_dir": _check_out_dir,
+}
 
-
-_KEYS: tuple[_Key, ...] = (
-    _Key("x_d_e", "float", _positive("x_d_e")),
-    _Key("x_r_e", "float", _positive("x_r_e")),
-    _Key("x_beta", "float", _positive("x_beta")),
-    _Key("b_d_e", "float", _positive("b_d_e")),
-    _Key("b_r_e", "float", _positive("b_r_e")),
-    _Key("b_beta", "float", _positive("b_beta")),
-    _Key("b_t_e", "float", _nonnegative("b_t_e")),
-    _Key("reduced_mass", "float", _positive("reduced_mass")),
-    _Key("r_min", "float", _positive("r_min")),
-    _Key("r_max", "float", _positive("r_max")),
-    _Key("n_points", "int", _at_least("n_points", 16)),
-    _Key("n_x_states", "int", _at_least("n_x_states", 1)),
-    _Key("n_b_states", "int", _at_least("n_b_states", 1)),
-    _Key("n", "int", _check_n),
-    _Key("v_target", "int", _nonnegative("v_target")),
-    _Key("w_min", "auto_int", _nonnegative("w_min")),
-    _Key("w_max", "auto_int", _nonnegative("w_max")),
-    _Key("tau", "floats", _check_tau),
-    _Key("tailored", "bool"),
-    _Key("flat", "bool"),
-    _Key("pump_duration", "auto_float", _positive("pump_duration")),
-    _Key("stokes_duration", "float", _positive("stokes_duration")),
-    _Key("probe_duration", "float", _positive("probe_duration")),
-    _Key("pump_amplitude", "float", _positive("pump_amplitude")),
-    _Key("stokes_amplitude", "float", _positive("stokes_amplitude")),
-    _Key("sweep_max_multiple", "float", _positive("sweep_max_multiple")),
-    _Key("sweep_points", "int", _at_least("sweep_points", 2)),
-    _Key("oracle_configs", "int", _at_least("oracle_configs", 1)),
-    _Key("oracle_seed", "int", _nonnegative("oracle_seed")),
-    _Key("dump_wavefunctions", "bool"),
-    _Key("out_dir", "str", _check_out_dir),
-)
-
-_KEY_BY_NAME = {key.name: key for key in _KEYS}
+# Annotation text of each key (annotations are postponed, so strings).
+_KEY_TYPES: dict[str, str] = {f.name: f.type for f in fields(ExperimentConfig)}
 
 
 def _parse_float(text: str) -> float:
@@ -287,25 +289,33 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected true or false, got {text!r}")
 
 
-def _parse_value(key: _Key, text: str):
+def _parse_floats(text: str) -> tuple[float, ...]:
+    parts = [part.strip() for part in text.split(",")]
+    if parts == [""]:
+        parts = []
+    return tuple(_parse_float(part) for part in parts)
+
+
+_PARSERS: dict[str, Callable[[str], object]] = {
+    "float": _parse_float,
+    "int": _parse_int,
+    "bool": _parse_bool,
+    "tuple[float, ...]": _parse_floats,
+    "str": str,
+}
+
+
+def _parse_value(name: str, text: str):
     """Convert and range-check one value; raises ValueError with a message."""
-    if key.kind in ("auto_float", "auto_int") and text.lower() == "auto":
-        return None
-    if key.kind in ("float", "auto_float"):
-        value = _parse_float(text)
-    elif key.kind in ("int", "auto_int"):
-        value = _parse_int(text)
-    elif key.kind == "bool":
-        value = _parse_bool(text)
-    elif key.kind == "floats":
-        parts = [part.strip() for part in text.split(",")]
-        if parts == [""]:
-            parts = []
-        value = tuple(_parse_float(part) for part in parts)
-    else:
-        value = text
-    if key.check is not None:
-        problem = key.check(value)
+    kind = _KEY_TYPES[name]
+    if kind.endswith(" | None"):
+        if text.lower() == "auto":
+            return None
+        kind = kind.removesuffix(" | None")
+    value = _PARSERS[kind](text)
+    check = _CHECKS.get(name)
+    if check is not None:
+        problem = check(value)
         if problem is not None:
             raise ValueError(problem)
     return value
@@ -317,26 +327,32 @@ def _validate_cross(config: ExperimentConfig) -> None:
         raise ConfigError(
             f"r_min ({config.r_min:g}) must be below r_max ({config.r_max:g})"
         )
+    for key in ("n_x_states", "n_b_states"):
+        if getattr(config, key) > config.n_points:
+            raise ConfigError(
+                f"{key} ({getattr(config, key)}) must not exceed n_points "
+                f"({config.n_points})"
+            )
     if (config.w_min is None) != (config.w_max is None):
         raise ConfigError("w_min and w_max must be set together")
-    if config.w_min is not None and config.w_max is not None:
-        if config.w_max < config.w_min:
+    if config.w_min is None:
+        if config.n not in DEFAULT_WINDOWS:
             raise ConfigError(
-                f"w_max ({config.w_max}) must be at least w_min ({config.w_min})"
+                f"no default window for n={config.n}; set w_min and w_max"
             )
-        span = config.w_max - config.w_min + 1
-        if span != config.n:
-            raise ConfigError(
-                f"window [{config.w_min}, {config.w_max}] holds {span} levels "
-                f"for a domain of {config.n} points"
-            )
-        if config.w_max >= config.n_b_states:
-            raise ConfigError(
-                f"w_max ({config.w_max}) is not among the "
-                f"{config.n_b_states} retained upper levels"
-            )
-    elif config.n not in DEFAULT_WINDOWS:
-        raise ConfigError(f"no default window for n={config.n}; set w_min and w_max")
+    elif config.w_max < config.w_min:
+        raise ConfigError(
+            f"w_max ({config.w_max}) must be at least w_min ({config.w_min})"
+        )
+    elif config.w_max >= config.n_b_states:
+        raise ConfigError(
+            f"w_max ({config.w_max}) is not among the "
+            f"{config.n_b_states} retained upper levels"
+        )
+    try:
+        config.resolved_window()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if config.v_target >= config.n_x_states:
         raise ConfigError(
             f"v_target ({config.v_target}) is not among the "
@@ -361,12 +377,12 @@ def parse_config(text: str) -> ExperimentConfig:
         name, _, value_text = line.partition("=")
         name = name.strip()
         value_text = value_text.strip()
-        if name not in _KEY_BY_NAME:
+        if name not in _KEY_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {name!r}")
         if name in values:
             raise ConfigError(f"line {lineno}: duplicate key {name!r}")
         try:
-            values[name] = _parse_value(_KEY_BY_NAME[name], value_text)
+            values[name] = _parse_value(name, value_text)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
     config = replace(ExperimentConfig(), **values)
@@ -484,7 +500,7 @@ def _cmd_eigen(config: ExperimentConfig, out: Path, args) -> None:
 def _cmd_fc(config: ExperimentConfig, out: Path, args) -> None:
     model = config.prepared_model()
     rows = [
-        (w, v, model.fc[w, v], transition_wavenumber(model, w, v))
+        (w, v, model.fc[w, v], model.nu[w, v])
         for w in range(model.n_b)
         for v in range(model.n_x)
     ]
@@ -513,9 +529,16 @@ def _dump_spectrum(
     _write_csv(path, config, "pulses", ("nu_cm1", "re_amp", "im_amp"), rows, extra)
 
 
+def _delay_model(config: ExperimentConfig, *windows: tuple[int, int]) -> VibronicModel:
+    """Model of a run timed in upper-state periods; ConfigError unless it
+    retains ``v_target``, every window and level ``PERIOD_LEVEL + 1``."""
+    top = max(PERIOD_LEVEL + 1, *(w_hi for _, w_hi in windows))
+    return config.build(top, config.v_target)
+
+
 def _cmd_pulses(config: ExperimentConfig, out: Path, args) -> None:
-    model = config.build()
     window = config.resolved_window()
+    model = _delay_model(config, window)
     masks = _parse_masks(getattr(args, "mask", None), config.n)
     if not masks:
         masks = [BooleanFunction((0,) * config.n)]
@@ -523,12 +546,8 @@ def _cmd_pulses(config: ExperimentConfig, out: Path, args) -> None:
     delay = config.tau[0] * tau_b
     probe_level = min(max(PERIOD_LEVEL, window[0]), window[1])
 
-    pump = design_pump(
-        model,
-        window,
-        duration_fwhm=config.resolved_pump_duration(),
-        amplitude=config.pump_amplitude,
-    )
+    options = config.run_options()
+    designs = [design_pulses(model, window, f.bits, options, delay) for f in masks]
     probe = design_probe(
         model,
         w_level=probe_level,
@@ -536,24 +555,12 @@ def _cmd_pulses(config: ExperimentConfig, out: Path, args) -> None:
         duration_fwhm=config.probe_duration,
     )
     if config.flat:
-        pump = replace(pump, flat=True)
         probe = replace(probe, flat=True)
-    _dump_spectrum(out / "pump.csv", config, pump)
+    _dump_spectrum(out / "pump.csv", config, designs[0][0])
     _dump_spectrum(
         out / "probe.csv", config, probe, (("probe_level", probe_level),)
     )
-    for f in masks:
-        stokes = design_stokes(
-            model,
-            config.v_target,
-            window,
-            f.bits,
-            duration_fwhm=config.stokes_duration,
-            amplitude=config.stokes_amplitude,
-            delay=delay,
-        )
-        if config.flat:
-            stokes = replace(stokes, flat=True)
+    for f, (_, stokes) in zip(masks, designs):
         _dump_spectrum(
             out / f"stokes_{f.as_string}.csv",
             config,
@@ -563,7 +570,7 @@ def _cmd_pulses(config: ExperimentConfig, out: Path, args) -> None:
 
 
 def _cmd_sweep(config: ExperimentConfig, out: Path, args) -> None:
-    model = config.build()
+    model = _delay_model(config, config.resolved_window())
     options = config.run_options()
     masks = _parse_masks(getattr(args, "mask", None), config.n)
     if not masks:
@@ -588,7 +595,8 @@ def _cmd_sweep(config: ExperimentConfig, out: Path, args) -> None:
 
 
 def _cmd_table1(config: ExperimentConfig, out: Path, args) -> None:
-    model = config.build()
+    row_windows = (DEFAULT_WINDOWS[n] for n, _ in TABLE_ROWS)
+    model = _delay_model(config, config.resolved_window(), *row_windows)
     table = table_outcomes(model, tuple(config.tau), TABLE_ROWS, config.run_options())
     metrics = table_metrics(table)
     metric_rows = [
@@ -634,47 +642,22 @@ def _cmd_table1(config: ExperimentConfig, out: Path, args) -> None:
 
 
 def _cmd_oracle_check(config: ExperimentConfig, out: Path, args) -> None:
-    model = config.build()
-    if model.n_b < 31 or model.n_x < 8:
-        raise ConfigError(
-            "oracle-check samples windows over upper levels 16-30 and "
-            "targets up to 6; retain at least 31 upper and 8 lower levels"
-        )
+    model = config.build(ORACLE_UPPER_LEVELS[1], ORACLE_TARGET_LEVELS[1])
     rng = np.random.default_rng(config.oracle_seed)
+    configs = random_oracle_configs(rng, model, config.oracle_configs)
     rows = []
     worst = 0.0
-    for index in range(config.oracle_configs):
-        w_lo = int(rng.integers(16, 26))
-        w_hi = w_lo + int(rng.integers(1, 6))
-        v_target = int(rng.integers(1, 7))
-        mid = (w_lo + w_hi) // 2
-        pump = PulseSpec(
-            center=transition_wavenumber(model, mid, 0)
-            + float(rng.uniform(-120.0, 120.0)),
-            duration_fwhm=float(rng.uniform(15.0, 150.0)),
-            amplitude=float(rng.uniform(0.3, 3.0)),
-            delay=float(rng.uniform(-50.0, 50.0)),
-        )
-        stokes = PulseSpec(
-            center=transition_wavenumber(model, mid, v_target)
-            + float(rng.uniform(-120.0, 120.0)),
-            duration_fwhm=float(rng.uniform(15.0, 150.0)),
-            amplitude=float(rng.uniform(0.3, 3.0)),
-        )
-        tau = float(rng.uniform(0.0, 900.0))
-        first = prepare_first_order(model, pump, (w_lo, w_hi))
+    for index, (window, v_target, pump, stokes, tau) in enumerate(configs):
+        first = prepare_first_order(model, pump, window)
         second = apply_stokes(model, first, stokes, tau)
         freq_signal = signal_magnitude(second, v_target)
-        time_signal = time_domain_oracle(
-            model, pump, stokes, tau, v_target, (w_lo, w_hi)
-        )
+        time_signal = time_domain_oracle(model, pump, stokes, tau, v_target, window)
         rel_dev = abs(freq_signal - time_signal) / max(time_signal, 1e-300)
         worst = max(worst, rel_dev)
         rows.append(
             (
                 index,
-                w_lo,
-                w_hi,
+                *window,
                 v_target,
                 pump.duration_fwhm,
                 stokes.duration_fwhm,
@@ -748,7 +731,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--out", metavar="DIR", help="output directory (default 'out')"
     )
     common.add_argument(
-        "--n", type=int, metavar="N", help="domain size override (even, 2-16)"
+        "--n", metavar="N", help="domain size override (even, 2-16)"
     )
     common.add_argument(
         "--tau",
@@ -791,16 +774,13 @@ def _load_config(args) -> ExperimentConfig:
             raise ConfigError(f"cannot read config file {args.config!r}: {exc}")
     config = parse_config(text)
     overrides: dict[str, object] = {}
-    if args.n is not None:
-        problem = _check_n(args.n)
-        if problem is not None:
-            raise ConfigError(f"invalid --n: {problem}")
-        overrides["n"] = args.n
-    if args.tau is not None:
-        try:
-            overrides["tau"] = _parse_value(_KEY_BY_NAME["tau"], args.tau)
-        except ValueError as exc:
-            raise ConfigError(f"invalid --tau: {exc}") from None
+    for name in ("n", "tau"):
+        text = getattr(args, name)
+        if text is not None:
+            try:
+                overrides[name] = _parse_value(name, text)
+            except ValueError as exc:
+                raise ConfigError(f"invalid --{name}: {exc}") from None
     if args.tailored:
         overrides["tailored"] = True
     if args.out is not None:
@@ -819,10 +799,7 @@ def main(argv: list[str] | None = None) -> int:
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         _COMMANDS[args.command](config, out, args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

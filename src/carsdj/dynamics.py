@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import TWO_PI_C
-from .molecule import VibronicModel, transition_wavenumber
+from .molecule import VibronicModel, checked_window, transition_wavenumber
 from .pulses import PulseSpec, spectral_amplitude, time_profile
 
 
@@ -82,14 +82,8 @@ def prepare_first_order(
     model: VibronicModel, pump: PulseSpec, w_window: tuple[int, int]
 ) -> FirstOrderCoherence:
     """First-order amplitudes c_w = i fc[w, 0] A_P(nu(w, 0)) over a window."""
-    w_lo, w_hi = w_window
-    if not (0 <= w_lo <= w_hi < model.n_b):
-        raise ValueError(
-            f"window [{w_lo}, {w_hi}] outside retained upper levels [0, {model.n_b})"
-        )
-    ws = np.arange(w_lo, w_hi + 1)
-    nus = np.array([transition_wavenumber(model, int(w), 0) for w in ws])
-    amps = spectral_amplitude(pump, nus)
+    ws = checked_window(model, w_window)
+    amps = spectral_amplitude(pump, model.nu[ws, 0])
     c = 1j * model.fc[ws, 0] * amps
     return FirstOrderCoherence(w_levels=ws, c=c)
 
@@ -123,11 +117,7 @@ def stokes_emission(
     stripped, since the delay enters through ``evolution_phase``.
     """
     stokes_local = replace(stokes, delay=0.0)
-    nu_wv = (
-        model.t_e
-        + model.b_states.energies[ws][:, None]
-        - model.x_states.energies[None, :]
-    )
+    nu_wv = model.nu[ws]
     return np.conj(spectral_amplitude(stokes_local, nu_wv.ravel())).reshape(
         nu_wv.shape
     )
@@ -142,8 +132,7 @@ def evolution_phase(
     (T, 1), gives the whole (T, len(ws)) grid, element for element the
     same values as one scalar call per delay.
     """
-    nu_w0 = model.t_e + model.b_states.energies[ws] - model.x_states.energies[0]
-    return np.exp(-1j * TWO_PI_C * nu_w0 * tau)
+    return np.exp(-1j * TWO_PI_C * model.nu[ws, 0] * tau)
 
 
 def signal_magnitude(second: SecondOrderCoherence, v_target: int) -> float:
@@ -167,17 +156,12 @@ def cars_spectrum(
         raise ValueError(
             f"coherence has {second.a.size} lower levels, model retains {model.n_x}"
         )
-    nu_wv = (
-        model.t_e
-        + model.b_states.energies[:, None]
-        - model.x_states.energies[None, :]
-    )
-    probe_amps = spectral_amplitude(probe, nu_wv.ravel()).reshape(nu_wv.shape)
+    probe_amps = spectral_amplitude(probe, model.nu.ravel()).reshape(model.nu.shape)
     b = (model.fc * probe_amps) @ second.a
     ws = np.arange(model.n_b)
     return CarsSpectrum(
         w_levels=ws,
-        wavenumbers=nu_wv[:, 0],
+        wavenumbers=model.nu[:, 0],
         amplitudes=b * model.fc[:, 0],
     )
 
@@ -210,22 +194,11 @@ def time_domain_oracle(
         hard-edged masks with long 1/t field tails trigger this at any
         practical window).
     """
-    if not (0 <= v_target < model.n_x):
-        raise ValueError(f"target level {v_target} not retained")
-    w_lo, w_hi = w_window
-    if not (0 <= w_lo <= w_hi < model.n_b):
-        raise ValueError(
-            f"window [{w_lo}, {w_hi}] outside retained upper levels [0, {model.n_b})"
-        )
+    ws = checked_window(model, w_window, v_target)
     if dt <= 0.0 or dt > 0.25:
         raise ValueError(f"time step must be in (0, 0.25] fs, got {dt}")
-    ws = np.arange(w_lo, w_hi + 1)
-    nu_w0 = model.t_e + model.b_states.energies[ws] - model.x_states.energies[0]
-    nu_wv = (
-        model.t_e
-        + model.b_states.energies[ws]
-        - model.x_states.energies[v_target]
-    )
+    nu_w0 = model.nu[ws, 0]
+    nu_wv = model.nu[ws, v_target]
     stokes_delayed = replace(stokes, delay=tau)
 
     def amplitude(step: float, sigmas: float) -> complex:
@@ -255,3 +228,43 @@ def time_domain_oracle(
             f"moved the amplitude by {abs(fine - coarse) / scale:.3e} relative"
         )
     return abs(fine)
+
+
+# Inclusive level bounds of ``random_oracle_configs``: windows lie inside
+# these upper levels, targets among these lower levels.
+ORACLE_UPPER_LEVELS = (16, 30)
+ORACLE_TARGET_LEVELS = (1, 6)
+
+
+def random_oracle_configs(
+    rng: np.random.Generator, model: VibronicModel, k: int
+) -> list[tuple[tuple[int, int], int, PulseSpec, PulseSpec, float]]:
+    """``k`` random (w_window, v_target, pump, stokes, tau) oracle inputs.
+
+    Windows span 2-6 levels; both carriers sit within 120 cm^-1 of the
+    mid-window lines nu(mid, 0) and nu(mid, v_target).
+    """
+    w_first, w_last = ORACLE_UPPER_LEVELS
+    v_first, v_last = ORACLE_TARGET_LEVELS
+    configs = []
+    for _ in range(k):
+        w_lo = int(rng.integers(w_first, w_last - 4))
+        w_hi = w_lo + int(rng.integers(1, 6))  # at most w_last
+        v_target = int(rng.integers(v_first, v_last + 1))
+        mid = (w_lo + w_hi) // 2
+        pump = PulseSpec(
+            center=transition_wavenumber(model, mid, 0)
+            + float(rng.uniform(-120.0, 120.0)),
+            duration_fwhm=float(rng.uniform(15.0, 150.0)),
+            amplitude=float(rng.uniform(0.3, 3.0)),
+            delay=float(rng.uniform(-50.0, 50.0)),
+        )
+        stokes = PulseSpec(
+            center=transition_wavenumber(model, mid, v_target)
+            + float(rng.uniform(-120.0, 120.0)),
+            duration_fwhm=float(rng.uniform(15.0, 150.0)),
+            amplitude=float(rng.uniform(0.3, 3.0)),
+        )
+        tau = float(rng.uniform(0.0, 900.0))
+        configs.append(((w_lo, w_hi), v_target, pump, stokes, tau))
+    return configs

@@ -11,6 +11,7 @@ uniform grid.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -67,6 +68,18 @@ class VibronicModel:
     @property
     def n_b(self) -> int:
         return self.b_states.n_bound
+
+    @cached_property
+    def nu(self) -> np.ndarray:
+        """Read-only transition wavenumbers t_e + E_B(w) - E_X(v) in cm^-1.
+
+        Shape (n_b, n_x).  Validate levels with ``checked_window`` before
+        indexing: a negative level would wrap silently.
+        """
+        e_b, e_x = self.b_states.energies, self.x_states.energies
+        nu = self.t_e + e_b[:, None] - e_x[None, :]
+        nu.flags.writeable = False
+        return nu
 
 
 def _solve_curve(
@@ -136,13 +149,32 @@ def build_model(
     )
 
 
+def checked_window(
+    model: VibronicModel, w_window: tuple[int, int], v_target: int | None = None
+) -> np.ndarray:
+    """Upper levels of an inclusive window, ascending, after validation.
+
+    Raises ValueError unless the window is non-empty and retained, and
+    so is the lower level ``v_target`` when given.
+    """
+    w_lo, w_hi = w_window
+    if w_lo > w_hi:
+        raise ValueError(f"empty window [{w_lo}, {w_hi}]")
+    if w_lo < 0 or w_hi >= model.n_b:
+        raise ValueError(
+            f"window [{w_lo}, {w_hi}] outside retained upper levels [0, {model.n_b})"
+        )
+    if v_target is not None and not 0 <= v_target < model.n_x:
+        raise ValueError(
+            f"target level {v_target} outside retained lower levels [0, {model.n_x})"
+        )
+    return np.arange(w_lo, w_hi + 1)
+
+
 def transition_wavenumber(model: VibronicModel, w: int, v: int) -> float:
     """Vertical transition energy t_e + E_B(w) - E_X(v) in cm^-1."""
-    if not (0 <= w < model.n_b):
-        raise ValueError(f"upper level {w} outside retained range [0, {model.n_b})")
-    if not (0 <= v < model.n_x):
-        raise ValueError(f"lower level {v} outside retained range [0, {model.n_x})")
-    return float(model.t_e + model.b_states.energies[w] - model.x_states.energies[v])
+    checked_window(model, (w, w), v)
+    return float(model.nu[w, v])
 
 
 def vibrational_period(model: VibronicModel, surface: str, level: int) -> float:
@@ -175,14 +207,7 @@ def fc_window_score(
     This scores how strongly each upper level couples the v=0 -> v_target
     Raman channel.
     """
-    w_lo, w_hi = w_window
-    if not (0 <= w_lo <= w_hi < model.n_b):
-        raise ValueError(
-            f"window [{w_lo}, {w_hi}] outside retained upper levels [0, {model.n_b})"
-        )
-    if not (0 <= v_target < model.n_x):
-        raise ValueError(f"target level {v_target} not retained")
-    ws = np.arange(w_lo, w_hi + 1)
+    ws = checked_window(model, w_window, v_target)
     scores = np.abs(model.fc[ws, 0] * model.fc[ws, v_target])
     return np.column_stack([ws.astype(float), scores])
 
@@ -197,21 +222,14 @@ def with_equalized_fc(
     keeping each entry's original sign.  This is the idealised limit in
     which all Raman channels carry equal weight.
     """
-    w_lo, w_hi = w_window
-    if not (0 <= w_lo <= w_hi < model.n_b):
-        raise ValueError(
-            f"window [{w_lo}, {w_hi}] outside retained upper levels [0, {model.n_b})"
-        )
-    if not (0 <= v_target < model.n_x):
-        raise ValueError(f"target level {v_target} not retained")
+    ws = checked_window(model, w_window, v_target)
     fc = model.fc.copy()
-    ws = np.arange(w_lo, w_hi + 1)
     for v in (0, v_target):
         col = fc[ws, v]
         if np.any(col == 0.0):
             raise ValueError(
                 f"cannot equalise: zero overlap at v={v} inside window "
-                f"[{w_lo}, {w_hi}]"
+                f"[{w_window[0]}, {w_window[1]}]"
             )
         mean = float(np.exp(np.mean(np.log(np.abs(col)))))
         fc[ws, v] = np.sign(col) * mean

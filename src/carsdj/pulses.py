@@ -18,7 +18,7 @@ import numpy as np
 import scipy.special
 
 from .constants import C_CM_PER_FS, SIGMA_TO_FWHM, TWO_PI_C
-from .molecule import VibronicModel, transition_wavenumber
+from .molecule import VibronicModel, checked_window, transition_wavenumber
 
 # Beyond this many envelope standard deviations the field underflows and
 # the complex error function would overflow; treat the field as zero.
@@ -194,12 +194,9 @@ def design_pump(
     amplitude: float = 1.0,
 ) -> PulseSpec:
     """Unmasked pulse centred on the mean of nu(w, 0) over the window."""
-    w_lo, w_hi = w_window
-    if w_lo > w_hi:
-        raise ValueError(f"empty window [{w_lo}, {w_hi}]")
-    nus = [transition_wavenumber(model, w, 0) for w in range(w_lo, w_hi + 1)]
+    ws = checked_window(model, w_window)
     return PulseSpec(
-        center=float(np.mean(nus)),
+        center=float(np.mean(model.nu[ws, 0])),
         duration_fwhm=duration_fwhm,
         amplitude=amplitude,
     )
@@ -221,19 +218,16 @@ def design_stokes(
     adjacent transition wavenumbers, with the outer edges extended
     symmetrically.
     """
-    w_lo, w_hi = w_window
-    n_levels = w_hi - w_lo + 1
-    if n_levels < 2:
+    ws = checked_window(model, w_window, v_target)
+    if ws.size < 2:
         raise ValueError("mask construction needs a window of at least 2 levels")
-    if len(f_bits) != n_levels:
+    if len(f_bits) != ws.size:
         raise ValueError(
-            f"got {len(f_bits)} bits for a window of {n_levels} levels"
+            f"got {len(f_bits)} bits for a window of {ws.size} levels"
         )
     if any(b not in (0, 1) for b in f_bits):
         raise ValueError(f"bits must be 0 or 1, got {f_bits}")
-    nus = np.array(
-        [transition_wavenumber(model, w, v_target) for w in range(w_lo, w_hi + 1)]
-    )
+    nus = model.nu[ws, v_target]
     if not np.all(np.diff(nus) > 0.0):
         raise ValueError(
             "transition wavenumbers are not strictly ascending across the "

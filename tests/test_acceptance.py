@@ -24,6 +24,7 @@ from carsdj.dynamics import (
     apply_stokes,
     cars_spectrum,
     prepare_first_order,
+    random_oracle_configs,
     signal_magnitude,
     time_domain_oracle,
 )
@@ -33,11 +34,10 @@ from carsdj.molecule import (
     IODINE_X,
     build_model,
     fc_window_score,
-    transition_wavenumber,
     vibrational_period,
 )
 from carsdj.morse import harmonic_wavenumber, morse_analytic_levels
-from carsdj.pulses import PulseSpec, design_probe, design_pump, design_stokes
+from carsdj.pulses import design_probe, design_pump, design_stokes
 
 
 def _report(num: int, description: str, ok: bool, detail: str = "") -> None:
@@ -98,31 +98,11 @@ def test_criterion_4_frequency_and_time_domain_amplitudes_agree(model):
     rng = np.random.default_rng(20260817)
     start = time.perf_counter()
     worst = 0.0
-    for _ in range(20):
-        w_lo = int(rng.integers(16, 26))
-        w_hi = w_lo + int(rng.integers(1, 6))
-        v_target = int(rng.integers(1, 7))
-        mid = (w_lo + w_hi) // 2
-        pump = PulseSpec(
-            center=transition_wavenumber(model, mid, 0)
-            + float(rng.uniform(-120.0, 120.0)),
-            duration_fwhm=float(rng.uniform(15.0, 150.0)),
-            amplitude=float(rng.uniform(0.3, 3.0)),
-            delay=float(rng.uniform(-50.0, 50.0)),
-        )
-        stokes = PulseSpec(
-            center=transition_wavenumber(model, mid, v_target)
-            + float(rng.uniform(-120.0, 120.0)),
-            duration_fwhm=float(rng.uniform(15.0, 150.0)),
-            amplitude=float(rng.uniform(0.3, 3.0)),
-        )
-        tau = float(rng.uniform(0.0, 900.0))
-        first = prepare_first_order(model, pump, (w_lo, w_hi))
+    for window, v_target, pump, stokes, tau in random_oracle_configs(rng, model, 20):
+        first = prepare_first_order(model, pump, window)
         second = apply_stokes(model, first, stokes, tau)
         freq_signal = signal_magnitude(second, v_target)
-        time_signal = time_domain_oracle(
-            model, pump, stokes, tau, v_target, (w_lo, w_hi)
-        )
+        time_signal = time_domain_oracle(model, pump, stokes, tau, v_target, window)
         worst = max(worst, abs(freq_signal - time_signal) / max(time_signal, 1e-300))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-6 and elapsed < 60.0

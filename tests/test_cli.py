@@ -1,5 +1,10 @@
 """Command-line interface: config parsing, outputs, and exit codes."""
 
+import hashlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +78,29 @@ def test_config_cross_checks():
         parse_config("r_min = 6.0\nr_max = 3.0\n")
     with pytest.raises(ConfigError, match="v_target"):
         parse_config("v_target = 40\n")
+    with pytest.raises(ConfigError, match="n_x_states .* n_points"):
+        parse_config("n_points = 16\n")
+    with pytest.raises(ConfigError, match="n_b_states .* n_points"):
+        parse_config("n_points = 30\nn_x_states = 30\n")
+
+
+def test_config_header_round_trips_through_the_parser(tmp_path):
+    # every key's value type: auto, tau lists, booleans, ints, floats, text
+    config = tmp_path / "run.conf"
+    config.write_text(
+        "n = 6\ntau = 0.5, 1.25\ntailored = yes\npump_duration = auto\n"
+        "b_d_e = 4500.5\ndump_wavefunctions = false\n"
+    )
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["eigen", "--config", str(config), "--out", str(first)]) == 0
+    header = _header_lines(first / "eigen_x.csv")
+    assert "# w_min=19" in header and "# pump_duration=10" in header
+    assert "# tau=0.5,1.25" in header and "# tailored=true" in header
+    config.write_text("\n".join(line[2:] for line in header[1:]) + "\n")
+    assert main(["eigen", "--config", str(config), "--out", str(second)]) == 0
+    assert _header_lines(second / "eigen_x.csv") == [
+        line.replace(str(first), str(second)) for line in header
+    ]
 
 
 def test_eigen_writes_level_tables(tmp_path, capsys):
@@ -180,6 +208,31 @@ def test_oracle_check_passes_on_a_small_sample(tmp_path):
     assert all(float(cells[-1]) < 1e-6 for cells in rows)
 
 
+@pytest.mark.parametrize(
+    ("text", "command", "retained"),
+    [
+        ("n_b_states = 20\n", "sweep", 20),
+        ("n_b_states = 20\n", "table1", 20),
+        ("n_b_states = 20\n", "pulses", 20),
+        ("b_d_e = 400\n", "sweep", 19),
+        ("n = 8\ntailored = true\nn_b_states = 24\n", "fc", 24),
+    ],
+)
+def test_too_few_upper_levels_name_the_key(tmp_path, capsys, text, command, retained):
+    config = tmp_path / "run.conf"
+    config.write_text(text)
+    assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "n_b_states" in err and f"retained only {retained} upper levels" in err
+
+
+def test_runs_that_need_no_window_accept_few_upper_levels(tmp_path):
+    config = tmp_path / "run.conf"
+    config.write_text("n_b_states = 20\n")
+    for command in ("eigen", "fc"):
+        assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 0
+
+
 def test_out_flag_overrides_the_config_directory(tmp_path):
     config = tmp_path / "run.conf"
     config.write_text(f"out_dir = {tmp_path / 'ignored'}\n")
@@ -208,3 +261,50 @@ def test_numerical_failures_exit_with_code_two(tmp_path, monkeypatch, capsys):
     monkeypatch.setitem(cli._COMMANDS, "eigen", boom)
     assert main(["eigen", "--out", str(tmp_path)]) == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+# Runs every subcommand with the default configuration, each in its own
+# directory, as the cli-suite benchmark workload does (sweep with all 16
+# n = 4 masks).
+_DEFAULT_RUN = """
+import os, sys
+from carsdj.cli import main
+masks = ",".join(format(i, "04b")[::-1] for i in range(16))
+for command in ("eigen", "fc", "pulses", "sweep", "table1", "oracle-check"):
+    os.mkdir(command)
+    os.chdir(command)
+    if main([command] + (["--mask", masks] if command == "sweep" else [])) != 0:
+        sys.exit(f"{command} failed")
+    os.chdir("..")
+"""
+
+
+def test_default_csvs_match_the_golden_hashes(tmp_path):
+    # The goldens hold with BLAS on one thread; other thread counts move the
+    # eigensolver's last digits, so the run needs its own process.
+    root = Path(__file__).resolve().parents[1]
+    goldens = json.loads((root / "perfbench" / "goldens.json").read_text())
+    env = dict(
+        os.environ,
+        OPENBLAS_NUM_THREADS="1",
+        OMP_NUM_THREADS="1",
+        MKL_NUM_THREADS="1",
+        PYTHONPATH=os.pathsep.join(
+            filter(None, (str(root / "src"), os.environ.get("PYTHONPATH")))
+        ),
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", _DEFAULT_RUN],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert run.returncode == 0, run.stderr[-2000:]
+    for command, expected in goldens["cli-suite"].items():
+        written = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in (tmp_path / command / "out").iterdir()
+        }
+        assert written == expected, command

@@ -97,6 +97,14 @@ def test_transition_wavenumbers(model):
         transition_wavenumber(model, 0, -1)
 
 
+def test_transition_matrix_matches_every_scalar_read(model):
+    for m in (model, with_equalized_fc(model, (18, 25), 4)):
+        assert m.nu.shape == (m.n_b, m.n_x)
+        for w in range(m.n_b):
+            for v in range(m.n_x):
+                assert m.nu[w, v] == transition_wavenumber(m, w, v)
+
+
 def test_vibrational_periods(model):
     assert vibrational_period(model, "B", 22) == pytest.approx(387.38497165, abs=1e-4)
     assert vibrational_period(model, "X", 0) == pytest.approx(156.796206, abs=1e-3)
