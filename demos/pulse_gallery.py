@@ -46,7 +46,7 @@ def main() -> None:
     tau_b = vibrational_period(model, "B", PERIOD_LEVEL)
 
     pump = design_pump(model, WINDOW, duration_fwhm=30.0)
-    probe = design_probe(model)
+    probe = design_probe(model, PERIOD_LEVEL, V_TARGET)
     # drawn undelayed; a delay only multiplies the spectrum by a phase
     stokes_const = design_stokes(
         model, V_TARGET, WINDOW, (0, 0, 0, 0), duration_fwhm=30.0

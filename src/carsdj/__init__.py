@@ -17,6 +17,7 @@ from .algorithm import (
     BooleanFunction,
     DJOutcome,
     FidelityMetrics,
+    Outcomes,
     RunOptions,
     all_outcomes,
     channel_weights,
@@ -87,6 +88,7 @@ __all__ = [
     "IODINE_REDUCED_MASS",
     "IODINE_X",
     "MorseParams",
+    "Outcomes",
     "PulseSpec",
     "RunOptions",
     "SecondOrderCoherence",

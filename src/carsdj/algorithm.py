@@ -31,7 +31,7 @@ against.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -67,11 +67,6 @@ DEFAULT_STOKES_DURATION = 30.0
 
 _MAX_ENUMERATION_N = 16
 
-# Enumerations up to this size are cached (all of them together hold
-# 8 190 functions); larger ones are rebuilt on each call so that an
-# n = 16 enumeration is not kept alive for the rest of the process.
-_MAX_CACHED_N = 12
-
 
 @dataclass(frozen=True)
 class BooleanFunction:
@@ -93,7 +88,7 @@ class BooleanFunction:
     def n(self) -> int:
         return len(self.bits)
 
-    @cached_property
+    @property
     def classification(self) -> str:
         ones = sum(self.bits)
         if ones in (0, self.n):
@@ -123,19 +118,7 @@ def enumerate_functions(n: int) -> list[BooleanFunction]:
         raise ValueError(
             f"domain size must be in [1, {_MAX_ENUMERATION_N}], got {n}"
         )
-    if n <= _MAX_CACHED_N:
-        return list(_cached_functions(n))
-    return list(_build_functions(n))
-
-
-def _build_functions(n: int) -> tuple[BooleanFunction, ...]:
-    return tuple(
-        BooleanFunction(bits=tuple((i >> k) & 1 for k in range(n)))
-        for i in range(2**n)
-    )
-
-
-_cached_functions = lru_cache(maxsize=_MAX_CACHED_N)(_build_functions)
+    return [BooleanFunction(tuple((i >> k) & 1 for k in range(n))) for i in range(2**n)]
 
 
 def _bit_matrix(n: int) -> np.ndarray:
@@ -197,6 +180,31 @@ class DJOutcome:
     tau_multiple: float
     signal: float
     s_n: int
+
+
+@dataclass(frozen=True, eq=False)
+class Outcomes:
+    """Every function on n points evaluated at one delay.
+
+    ``signals[i]`` belongs to function i of ``enumerate_functions(n)``.
+    Equality is identity: the fields hold an array.
+    """
+
+    n: int
+    tau_fs: float
+    tau_multiple: float
+    signals: np.ndarray
+
+    def __post_init__(self) -> None:
+        if np.shape(self.signals) != (2**self.n,):
+            raise ValueError(
+                f"need 2^{self.n} signals, got shape {np.shape(self.signals)}"
+            )
+
+    @cached_property
+    def s_n(self) -> np.ndarray:
+        """Signed sum S_N of every function, in enumeration order."""
+        return self.n - 2 * _bit_matrix(self.n).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -336,22 +344,16 @@ def all_outcomes(
     n: int,
     tau_multiple: float,
     options: RunOptions = RunOptions(),
-) -> list[DJOutcome]:
+) -> Outcomes:
     """Every Boolean function on n points at one delay.
 
     Built from one set of channel weights; each signal equals that of
     ``run_instance`` for the same function, bit for bit.
     """
-    functions = enumerate_functions(n)
     tau_fs, z = channel_weights(model, n, (tau_multiple,), options)
-    bits = _bit_matrix(n)
-    signals = _signal_magnitudes(z, bits)[0].tolist()
-    signed_sums = (n - 2 * bits.sum(axis=1)).tolist()
-    tau = float(tau_fs[0])
-    return [
-        DJOutcome(f, tau, tau_multiple, signal, signed_sum)
-        for f, signal, signed_sum in zip(functions, signals, signed_sums)
-    ]
+    signals = _signal_magnitudes(z, _bit_matrix(n))[0]
+    signals.flags.writeable = False
+    return Outcomes(n, float(tau_fs[0]), tau_multiple, signals)
 
 
 def sweep_delay(
@@ -370,54 +372,35 @@ def sweep_delay(
     return np.column_stack([tau_fs, _signal_magnitudes(z, bits)[:, 0]])
 
 
-def distinguishability(outcomes: list[DJOutcome]) -> float:
+def distinguishability(outcomes: Outcomes) -> float:
     """D = 1 - max(balanced signal) / constant signal.
 
-    All outcomes must share one delay.  The two constant functions give
-    identical signals up to a global phase; that equality is checked
-    here, and the larger value is used as the reference.
+    The two constant functions give identical signals up to a global
+    phase; that equality is checked here, and the larger value is used
+    as the reference.
     """
-    _require_single_delay(outcomes)
-    constants, balanced = [], []
-    for o in outcomes:
-        kind = o.function.classification
-        if kind == "constant":
-            constants.append(o.signal)
-        elif kind == "balanced":
-            balanced.append(o.signal)
-    if not constants:
-        raise ValueError("need at least one constant-function outcome")
-    if not balanced:
+    s_n = outcomes.s_n
+    constants = outcomes.signals[np.abs(s_n) == outcomes.n]
+    balanced = outcomes.signals[s_n == 0]
+    if balanced.size == 0:
         raise ValueError("need at least one balanced-function outcome")
-    reference = max(constants)
+    reference = constants.max()
     if reference <= 0.0:
         raise ValueError("constant-function signal vanished; D undefined")
-    if min(constants) < reference * (1.0 - 1e-9):
+    if constants.min() < reference * (1.0 - 1e-9):
         raise ValueError(
             "the two constant-function signals disagree beyond rounding; "
             "the outcome set is inconsistent"
         )
-    return 1.0 - max(balanced) / reference
+    return float(1.0 - balanced.max() / reference)
 
 
-def pearson_r(outcomes: list[DJOutcome]) -> float:
+def pearson_r(outcomes: Outcomes) -> float:
     """Correlation between measured signals and |S_N| over the outcomes."""
-    _require_single_delay(outcomes)
-    if len(outcomes) < 3:
-        raise ValueError("need at least three outcomes for a correlation")
-    signals = np.array([o.signal for o in outcomes])
-    ideal = np.array([abs(o.s_n) for o in outcomes], dtype=float)
-    if np.ptp(ideal) == 0.0 or np.ptp(signals) == 0.0:
+    ideal = np.abs(outcomes.s_n).astype(float)
+    if np.ptp(ideal) == 0.0 or np.ptp(outcomes.signals) == 0.0:
         raise ValueError("degenerate outcome set; correlation undefined")
-    return float(np.corrcoef(signals, ideal)[0, 1])
-
-
-def _require_single_delay(outcomes: list[DJOutcome]) -> None:
-    if not outcomes:
-        raise ValueError("empty outcome list")
-    taus = {o.tau_fs for o in outcomes}
-    if len(taus) > 1:
-        raise ValueError(f"outcomes mix {len(taus)} different delays")
+    return float(np.corrcoef(outcomes.signals, ideal)[0, 1])
 
 
 # Standard benchmark rows: three window sizes plus the tailored variant
@@ -430,11 +413,11 @@ def table_outcomes(
     tau_multiples: tuple[float, ...] = (0.0, 1.0, 2.0),
     rows: tuple[tuple[int, bool], ...] = TABLE_ROWS,
     options: RunOptions = RunOptions(),
-) -> list[tuple[tuple[int, bool], list[list[DJOutcome]]]]:
+) -> list[tuple[tuple[int, bool], list[Outcomes]]]:
     """Every outcome of the benchmark table, enumerated once per cell.
 
     One entry per row, ``((n, tailored), cells)``, where ``cells`` holds
-    the ``all_outcomes`` list of each delay in order.  A configured
+    the ``all_outcomes`` result of each delay in order.  A configured
     ``options.w_window`` applies only to the rows whose n matches its
     size; the other rows use their default windows.
     """
@@ -451,13 +434,13 @@ def table_outcomes(
 
 
 def table_metrics(
-    table: list[tuple[tuple[int, bool], list[list[DJOutcome]]]],
+    table: list[tuple[tuple[int, bool], list[Outcomes]]],
 ) -> list[FidelityMetrics]:
     """D and r of every cell of a ``table_outcomes`` result, row by row."""
     return [
         FidelityMetrics(
             n=n,
-            tau_multiple=outcomes[0].tau_multiple,
+            tau_multiple=outcomes.tau_multiple,
             tailored=tailored,
             r=pearson_r(outcomes),
             d=distinguishability(outcomes),

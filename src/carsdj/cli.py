@@ -40,11 +40,13 @@ from .algorithm import (
     BooleanFunction,
     RunOptions,
     design_pulses,
+    enumerate_functions,
     prepare_model,
     sweep_delay,
     table_metrics,
     table_outcomes,
 )
+from .constants import TWO_PI_C
 from .dvr import Grid
 from .dynamics import (
     ORACLE_TARGET_LEVELS,
@@ -229,33 +231,25 @@ def _check_out_dir(v: str) -> str | None:
 # Range check of each key that has one; every key's value type is its
 # field annotation in ExperimentConfig.
 _CHECKS: dict[str, Callable] = {
-    "x_d_e": _positive("x_d_e"),
-    "x_r_e": _positive("x_r_e"),
-    "x_beta": _positive("x_beta"),
-    "b_d_e": _positive("b_d_e"),
-    "b_r_e": _positive("b_r_e"),
-    "b_beta": _positive("b_beta"),
-    "b_t_e": _nonnegative("b_t_e"),
-    "reduced_mass": _positive("reduced_mass"),
-    "r_min": _positive("r_min"),
-    "r_max": _positive("r_max"),
+    **{
+        key: _positive(key)
+        for key in (
+            "x_d_e", "x_r_e", "x_beta", "b_d_e", "b_r_e", "b_beta", "reduced_mass",
+            "r_min", "r_max", "pump_duration", "stokes_duration", "probe_duration",
+            "pump_amplitude", "stokes_amplitude", "sweep_max_multiple",
+        )
+    },
+    **{
+        key: _nonnegative(key)
+        for key in ("b_t_e", "v_target", "w_min", "w_max", "oracle_seed")
+    },
     "n_points": _at_least("n_points", 16),
     "n_x_states": _at_least("n_x_states", 1),
     "n_b_states": _at_least("n_b_states", 1),
-    "n": _check_n,
-    "v_target": _nonnegative("v_target"),
-    "w_min": _nonnegative("w_min"),
-    "w_max": _nonnegative("w_max"),
-    "tau": _check_tau,
-    "pump_duration": _positive("pump_duration"),
-    "stokes_duration": _positive("stokes_duration"),
-    "probe_duration": _positive("probe_duration"),
-    "pump_amplitude": _positive("pump_amplitude"),
-    "stokes_amplitude": _positive("stokes_amplitude"),
-    "sweep_max_multiple": _positive("sweep_max_multiple"),
     "sweep_points": _at_least("sweep_points", 2),
     "oracle_configs": _at_least("oracle_configs", 1),
-    "oracle_seed": _nonnegative("oracle_seed"),
+    "n": _check_n,
+    "tau": _check_tau,
     "out_dir": _check_out_dir,
 }
 
@@ -529,37 +523,48 @@ def _dump_spectrum(
     _write_csv(path, config, "pulses", ("nu_cm1", "re_amp", "im_amp"), rows, extra)
 
 
-def _delay_model(config: ExperimentConfig, *windows: tuple[int, int]) -> VibronicModel:
-    """Model of a run timed in upper-state periods; ConfigError unless it
-    retains ``v_target``, every window and level ``PERIOD_LEVEL + 1``."""
+def _delay_model(
+    config: ExperimentConfig, key: str, *windows: tuple[int, int]
+) -> tuple[VibronicModel, float]:
+    """Model of a run timed in upper-state periods, and the period tau_B;
+    ConfigError unless it retains ``v_target``, every window and level
+    ``PERIOD_LEVEL + 1``, and the delays under ``key`` keep every
+    transition's evolution phase finite."""
     top = max(PERIOD_LEVEL + 1, *(w_hi for _, w_hi in windows))
-    return config.build(top, config.v_target)
+    model = config.build(top, config.v_target)
+    tau_b = vibrational_period(model, "B", PERIOD_LEVEL)
+    _check_phase(config, key, tau_b, model.nu.max())
+    return model, tau_b
+
+
+def _check_phase(config: ExperimentConfig, key: str, tau_b: float, nu: float) -> None:
+    """ConfigError unless the largest delay under ``key`` keeps 2 pi c nu tau finite."""
+    multiple = float(np.max(getattr(config, key)))
+    if not np.isfinite(TWO_PI_C * float(nu) * (multiple * tau_b)):
+        raise ConfigError(
+            f"{key} = {multiple:g} is too large: the delay of "
+            f"{multiple * tau_b:g} fs overflows the phase at {nu:.1f} cm^-1"
+        )
 
 
 def _cmd_pulses(config: ExperimentConfig, out: Path, args) -> None:
     window = config.resolved_window()
-    model = _delay_model(config, window)
+    model, tau_b = _delay_model(config, "tau", window)
     masks = _parse_masks(getattr(args, "mask", None), config.n)
     if not masks:
         masks = [BooleanFunction((0,) * config.n)]
-    tau_b = vibrational_period(model, "B", PERIOD_LEVEL)
     delay = config.tau[0] * tau_b
     probe_level = min(max(PERIOD_LEVEL, window[0]), window[1])
 
     options = config.run_options()
     designs = [design_pulses(model, window, f.bits, options, delay) for f in masks]
-    probe = design_probe(
-        model,
-        w_level=probe_level,
-        v_target=config.v_target,
-        duration_fwhm=config.probe_duration,
-    )
+    # The Stokes spectra are sampled beyond the transitions.
+    _check_phase(config, "tau", tau_b, np.abs(_spectrum_grid(designs[0][1])).max())
+    probe = design_probe(model, probe_level, config.v_target, config.probe_duration)
     if config.flat:
         probe = replace(probe, flat=True)
     _dump_spectrum(out / "pump.csv", config, designs[0][0])
-    _dump_spectrum(
-        out / "probe.csv", config, probe, (("probe_level", probe_level),)
-    )
+    _dump_spectrum(out / "probe.csv", config, probe, (("probe_level", probe_level),))
     for f, (_, stokes) in zip(masks, designs):
         _dump_spectrum(
             out / f"stokes_{f.as_string}.csv",
@@ -570,14 +575,13 @@ def _cmd_pulses(config: ExperimentConfig, out: Path, args) -> None:
 
 
 def _cmd_sweep(config: ExperimentConfig, out: Path, args) -> None:
-    model = _delay_model(config, config.resolved_window())
+    model, tau_b = _delay_model(config, "sweep_max_multiple", config.resolved_window())
     options = config.run_options()
     masks = _parse_masks(getattr(args, "mask", None), config.n)
     if not masks:
         constant = BooleanFunction((0,) * config.n)
         alternating = BooleanFunction(tuple(k % 2 for k in range(config.n)))
         masks = [constant, alternating]
-    tau_b = vibrational_period(model, "B", PERIOD_LEVEL)
     multiples = np.linspace(0.0, config.sweep_max_multiple, config.sweep_points)
     for f in masks:
         trace = sweep_delay(model, f, multiples, options)
@@ -596,7 +600,7 @@ def _cmd_sweep(config: ExperimentConfig, out: Path, args) -> None:
 
 def _cmd_table1(config: ExperimentConfig, out: Path, args) -> None:
     row_windows = (DEFAULT_WINDOWS[n] for n, _ in TABLE_ROWS)
-    model = _delay_model(config, config.resolved_window(), *row_windows)
+    model, _ = _delay_model(config, "tau", config.resolved_window(), *row_windows)
     table = table_outcomes(model, tuple(config.tau), TABLE_ROWS, config.run_options())
     metrics = table_metrics(table)
     metric_rows = [
@@ -611,18 +615,11 @@ def _cmd_table1(config: ExperimentConfig, out: Path, args) -> None:
         metric_rows,
     )
     for (n, tailored), cells in table:
+        functions = enumerate_functions(n)
         rows = [
-            (
-                o.function.index,
-                o.function.as_string,
-                o.function.classification,
-                o.s_n,
-                o.tau_fs,
-                o.tau_multiple,
-                o.signal,
-            )
-            for outcomes in cells
-            for o in outcomes
+            (f.index, f.as_string, f.classification, s, o.tau_fs, o.tau_multiple, a)
+            for o in cells
+            for f, s, a in zip(functions, o.s_n.tolist(), o.signals.tolist())
         ]
         name = f"outcomes_n{n}t.csv" if tailored else f"outcomes_n{n}.csv"
         _write_csv(
@@ -797,8 +794,13 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         config = _load_config(args)
         out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _COMMANDS[args.command](config, out, args)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            _COMMANDS[args.command](config, out, args)
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot write to out_dir {config.out_dir!r}: {exc}"
+            ) from None
     except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -250,8 +250,8 @@ def design_stokes(
 
 def design_probe(
     model: VibronicModel,
-    w_level: int = 22,
-    v_target: int = 4,
+    w_level: int,
+    v_target: int,
     duration_fwhm: float = 1000.0,
     amplitude: float = 1.0,
 ) -> PulseSpec:

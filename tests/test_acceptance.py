@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 
 from carsdj.algorithm import (
+    PERIOD_LEVEL,
     BooleanFunction,
     RunOptions,
     all_outcomes,
@@ -123,8 +124,8 @@ def test_criterion_5_idealized_limit_classifies_exactly(model):
     worst_r = 0.0
     for n in (4, 8):
         outcomes = all_outcomes(model, n, 0.0, options)
-        signals = np.array([o.signal for o in outcomes])
-        ideal = np.array([abs(o.s_n) for o in outcomes], dtype=float)
+        signals = outcomes.signals
+        ideal = np.abs(outcomes.s_n).astype(float)
         ratios = signals[ideal > 0] / ideal[ideal > 0]
         const = signals[ideal == ideal.max()].max()
         worst_spread = max(worst_spread, float(np.ptp(ratios) / ratios.mean()))
@@ -204,9 +205,8 @@ def test_criterion_7_constant_masks_revive_and_balanced_stay_suppressed(model):
     exact_idx = [int(np.argmin(np.abs(multiples - k))) for k in (0.0, 1.0, 2.0)]
     ratios_exact = [alt_trace[i] / const_trace[i] for i in exact_idx]
     outcomes = all_outcomes(model, 4, 1.0)
-    worst_balanced = max(
-        o.signal for o in outcomes if o.function.classification == "balanced"
-    ) / max(o.signal for o in outcomes if o.function.classification == "constant")
+    signals, s_n = outcomes.signals, outcomes.s_n
+    worst_balanced = signals[s_n == 0].max() / signals[np.abs(s_n) == 4].max()
     ok = (
         near_integer
         and {1, 2} <= covered
@@ -229,7 +229,7 @@ def test_criterion_8_gated_line_tracks_the_prepared_amplitude(model):
     tau_b = vibrational_period(model, "B", 22)
     window = (20, 23)
     pump = design_pump(model, window, duration_fwhm=30.0)
-    probe = design_probe(model)
+    probe = design_probe(model, PERIOD_LEVEL, 4)
     first = prepare_first_order(model, pump, window)
     ratios = []
     for f in enumerate_functions(4):
@@ -254,15 +254,11 @@ def test_criterion_8_gated_line_tracks_the_prepared_amplitude(model):
 def test_criterion_9_complement_symmetry_and_scale_invariance(model):
     symmetric = True
     for m in (0.0, 1.0):
-        by_bits = {
-            o.function.bits: o.signal for o in all_outcomes(model, 4, m)
-        }
-        symmetric = symmetric and all(
-            by_bits[bits] == by_bits[tuple(1 - b for b in bits)]
-            for bits in by_bits
-        )
+        # index of the complement of f is 2^4 - 1 - index(f)
+        signals = all_outcomes(model, 4, m).signals
+        symmetric = symmetric and np.array_equal(signals, signals[::-1])
     outcomes = all_outcomes(model, 4, 1.0)
-    scaled = [replace(o, signal=o.signal * 3.7) for o in outcomes]
+    scaled = replace(outcomes, signals=outcomes.signals * 3.7)
     d_shift = abs(distinguishability(outcomes) - distinguishability(scaled))
     r_shift = abs(pearson_r(outcomes) - pearson_r(scaled))
     ok = symmetric and d_shift <= 1e-12 and r_shift <= 1e-12

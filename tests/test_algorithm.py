@@ -11,8 +11,8 @@ from carsdj.algorithm import (
     DEFAULT_WINDOWS,
     PERIOD_LEVEL,
     BooleanFunction,
-    DJOutcome,
     FidelityMetrics,
+    Outcomes,
     RunOptions,
     all_outcomes,
     channel_weights,
@@ -29,11 +29,20 @@ from carsdj.algorithm import (
 
 _KERNEL_TAUS = (0.0, 0.5, 1.0, 1.5, 2.0)
 
+# The D/r landscape: (n, window, tailored) rows, each at _KERNEL_TAUS.
+_LANDSCAPE_ROWS = (
+    (4, None, False),
+    (6, None, False),
+    (8, None, False),
+    (8, None, True),
+    (10, (17, 26), False),
+    (12, (16, 27), False),
+)
 
-def _outcome(f, signal, tau=0.0):
-    return DJOutcome(
-        function=f, tau_fs=tau, tau_multiple=0.0, signal=signal, s_n=s_n(f)
-    )
+
+def _outcomes(signals, tau=0.0):
+    signals = np.asarray(signals, dtype=float)
+    return Outcomes(int(np.log2(signals.size)), tau, 0.0, signals)
 
 
 def test_boolean_function_properties():
@@ -115,26 +124,28 @@ def test_run_instance_rejects_mismatched_windows(model):
 
 def test_outcomes_are_enumerated_in_index_order(model):
     outs = all_outcomes(model, 2, 0.0)
-    assert [o.function.index for o in outs] == list(range(4))
+    assert outs.n == 2 and outs.tau_multiple == 0.0
+    assert outs.signals.shape == (4,)
+    assert outs.s_n.tolist() == [s_n(f) for f in enumerate_functions(2)]
+    assert outs.s_n.tolist() == [2, 0, 0, -2]
+    with pytest.raises(ValueError, match="2\\^2 signals"):
+        Outcomes(2, 0.0, 0.0, np.zeros(3))
 
 
 def test_complementary_functions_are_indistinguishable(model):
     # flipping every bit negates each transfer term, leaving the magnitude
     for tau in (0.0, 1.0):
-        outs = all_outcomes(model, 4, tau)
-        by_bits = {o.function.bits: o.signal for o in outs}
-        for bits, signal in by_bits.items():
-            assert signal == by_bits[tuple(1 - b for b in bits)]
+        signals = all_outcomes(model, 4, tau).signals
+        # index of the complement of f is 2^4 - 1 - index(f)
+        assert np.array_equal(signals, signals[::-1])
 
 
 def test_constant_functions_give_the_largest_signal(model):
     for n in (4, 6):
         for tau in (0.0, 1.0):
             outs = all_outcomes(model, n, tau)
-            const = max(
-                o.signal for o in outs if o.function.classification == "constant"
-            )
-            assert max(o.signal for o in outs) == const
+            const = outs.signals[np.abs(outs.s_n) == n].max()
+            assert outs.signals.max() == const
 
 
 def test_sweep_columns(model):
@@ -146,41 +157,28 @@ def test_sweep_columns(model):
 
 
 def test_distinguishability_bookkeeping():
-    c0 = BooleanFunction((0, 0))
-    c1 = BooleanFunction((1, 1))
-    b = BooleanFunction((0, 1))
-    outs = [_outcome(c0, 1.0), _outcome(c1, 1.0), _outcome(b, 0.25)]
-    assert distinguishability(outs) == pytest.approx(0.75)
-    with pytest.raises(ValueError, match="empty"):
-        distinguishability([])
-    with pytest.raises(ValueError, match="constant-function outcome"):
-        distinguishability([_outcome(b, 0.5)])
+    # n = 2 in enumeration order: 00 (constant), 10, 01 (balanced), 11
+    assert distinguishability(_outcomes([1.0, 0.25, 0.125, 1.0])) == 0.75
+    # the larger constant signal is the reference
+    assert distinguishability(
+        _outcomes([1.0, 0.25, 0.125, 1.0 - 1e-12])
+    ) == 0.75
+    # odd n has no balanced functions
     with pytest.raises(ValueError, match="balanced-function outcome"):
-        distinguishability([_outcome(c0, 0.5)])
+        distinguishability(_outcomes(np.ones(8)))
     with pytest.raises(ValueError, match="disagree"):
-        distinguishability(
-            [_outcome(c0, 1.0), _outcome(c1, 0.5), _outcome(b, 0.2)]
-        )
-    with pytest.raises(ValueError, match="delays"):
-        distinguishability([_outcome(c0, 1.0), _outcome(b, 0.5, tau=100.0)])
+        distinguishability(_outcomes([1.0, 0.2, 0.2, 0.5]))
     with pytest.raises(ValueError, match="vanished"):
-        distinguishability(
-            [_outcome(c0, 0.0), _outcome(c1, 0.0), _outcome(b, 0.0)]
-        )
+        distinguishability(_outcomes([0.0, 0.0, 0.0, 0.0]))
 
 
 def test_correlation_requires_a_spread():
-    c0 = BooleanFunction((0, 0))
-    b = BooleanFunction((0, 1))
-    with pytest.raises(ValueError, match="at least three"):
-        pearson_r([_outcome(c0, 1.0), _outcome(b, 0.5)])
-    balanced_only = [
-        _outcome(BooleanFunction((0, 1)), 0.5),
-        _outcome(BooleanFunction((1, 0)), 0.6),
-        _outcome(BooleanFunction((0, 1)), 0.7),
-    ]
+    assert pearson_r(_outcomes([2.0, 0.0, 0.0, 2.0])) == pytest.approx(1.0)
     with pytest.raises(ValueError, match="degenerate"):
-        pearson_r(balanced_only)
+        pearson_r(_outcomes([0.5, 0.5, 0.5, 0.5]))
+    # n = 1: both functions are constant, so |S_N| has no spread
+    with pytest.raises(ValueError, match="degenerate"):
+        pearson_r(_outcomes([1.0, 0.5]))
 
 
 def test_idealized_run_classifies_perfectly(model):
@@ -188,19 +186,16 @@ def test_idealized_run_classifies_perfectly(model):
     # exactly proportional to |sum_k (-1)^f(k)|
     opts = RunOptions(tailored=True, flat_envelopes=True)
     outs = all_outcomes(model, 4, 0.0, opts)
-    signals = np.array([o.signal for o in outs])
-    ideal = np.array([abs(o.s_n) for o in outs], dtype=float)
-    const = max(
-        o.signal for o in outs if o.function.classification == "constant"
-    )
-    np.testing.assert_allclose(signals / const, ideal / 4.0, rtol=0, atol=1e-12)
+    ideal = np.abs(outs.s_n)
+    const = outs.signals[ideal == 4].max()
+    np.testing.assert_allclose(outs.signals / const, ideal / 4.0, rtol=0, atol=1e-12)
     assert distinguishability(outs) == pytest.approx(1.0, abs=1e-12)
     assert pearson_r(outs) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_metrics_ignore_overall_signal_scale(model):
     outs = all_outcomes(model, 4, 1.0)
-    scaled = [replace(o, signal=o.signal * 3.7) for o in outs]
+    scaled = replace(outs, signals=outs.signals * 3.7)
     assert abs(distinguishability(scaled) - distinguishability(outs)) < 1e-15
     assert abs(pearson_r(scaled) - pearson_r(outs)) < 1e-12
 
@@ -234,7 +229,7 @@ def test_fidelity_table_is_built_from_table_outcomes(model):
         ((4, False), 1), ((8, True), 1),
     ]
     direct = all_outcomes(model, 8, 1.0, RunOptions(tailored=True))
-    assert [o.signal for o in table[1][1][0]] == [o.signal for o in direct]
+    assert np.array_equal(table[1][1][0].signals, direct.signals)
     rows = ((4, False), (8, True))
     assert fidelity_table(model, (1.0,), rows) == table_metrics(table)
 
@@ -245,8 +240,8 @@ def test_table_rows_of_another_size_use_default_windows(model):
     table = dict(table_outcomes(model, (1.0,), ((4, False), (6, False)), options))
     default_4 = all_outcomes(model, 4, 1.0)
     shifted_6 = all_outcomes(model, 6, 1.0, options)
-    assert [o.signal for o in table[(4, False)][0]] == [o.signal for o in default_4]
-    assert [o.signal for o in table[(6, False)][0]] == [o.signal for o in shifted_6]
+    assert np.array_equal(table[(4, False)][0].signals, default_4.signals)
+    assert np.array_equal(table[(6, False)][0].signals, shifted_6.signals)
 
 
 def test_enumeration_returns_a_fresh_list_each_call():
@@ -254,9 +249,6 @@ def test_enumeration_returns_a_fresh_list_each_call():
     first.clear()
     assert len(enumerate_functions(4)) == 16
     assert enumerate_functions(6) is not enumerate_functions(6)
-    # small domains share their immutable functions; large ones are not kept
-    assert enumerate_functions(12)[5] is enumerate_functions(12)[5]
-    assert enumerate_functions(13)[5] is not enumerate_functions(13)[5]
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
@@ -267,11 +259,14 @@ def test_enumeration_returns_a_fresh_list_each_call():
 )
 def test_kernel_equals_run_instance_exactly(model, n, options):
     for tau in _KERNEL_TAUS:
-        for o in all_outcomes(model, n, tau, options):
-            ref = run_instance(model, o.function, tau, options)
-            assert o.signal == ref.signal
-            assert o.tau_fs == ref.tau_fs
-            assert o.s_n == ref.s_n
+        outs = all_outcomes(model, n, tau, options)
+        for f, signal, signed_sum in zip(
+            enumerate_functions(n), outs.signals, outs.s_n
+        ):
+            ref = run_instance(model, f, tau, options)
+            assert signal == ref.signal
+            assert outs.tau_fs == ref.tau_fs
+            assert signed_sum == ref.s_n
 
 
 @pytest.mark.parametrize(
@@ -280,9 +275,9 @@ def test_kernel_equals_run_instance_exactly(model, n, options):
 def test_kernel_equals_run_instance_on_wide_windows(model, n, window, tau):
     options = RunOptions(w_window=window)
     outs = all_outcomes(model, n, tau, options)
-    assert len(outs) == 2**n
-    for o in outs:
-        assert o.signal == run_instance(model, o.function, tau, options).signal
+    assert outs.signals.shape == (2**n,)
+    for f, signal in zip(enumerate_functions(n), outs.signals):
+        assert signal == run_instance(model, f, tau, options).signal
 
 
 def test_sweep_equals_run_instance_exactly(model):
@@ -299,8 +294,7 @@ def test_sweep_equals_run_instance_exactly(model):
 
 
 def test_sixteen_point_enumeration_is_complement_symmetric(model):
-    outs = all_outcomes(model, 16, 1.0, RunOptions(w_window=(14, 29)))
-    signals = np.array([o.signal for o in outs])
+    signals = all_outcomes(model, 16, 1.0, RunOptions(w_window=(14, 29))).signals
     assert signals.size == 2**16
     # index of the complement of f is 2^16 - 1 - index(f)
     assert np.array_equal(signals, signals[::-1])
@@ -329,3 +323,30 @@ def test_channel_weights_reject_bad_windows_and_targets(model):
         channel_weights(model, 4, (0.0,), RunOptions(v_target=40))
     with pytest.raises(ValueError, match="lower level"):
         channel_weights(model, 4, (0.0,), RunOptions(v_target=-1))
+
+
+def _reference_metrics(functions, signals):
+    """D and r by the per-function formulas, one function at a time."""
+    groups = {"constant": [], "balanced": [], "other": []}
+    for f, signal in zip(functions, signals.tolist()):
+        groups[f.classification].append(signal)
+    reference = max(groups["constant"])
+    d = 1.0 - max(groups["balanced"]) / reference
+    ideal = np.array([abs(s_n(f)) for f in functions], dtype=float)
+    r = float(np.corrcoef(np.array(signals.tolist()), ideal)[0, 1])
+    return d, r
+
+
+def test_array_metrics_equal_the_per_function_formulas(model):
+    cells = [
+        (n, RunOptions(w_window=window, tailored=tailored), _KERNEL_TAUS)
+        for n, window, tailored in _LANDSCAPE_ROWS
+    ]
+    cells.append((16, RunOptions(w_window=(14, 29)), (0.0, 1.0, 2.0)))
+    for n, options, taus in cells:
+        functions = enumerate_functions(n)
+        for tau in taus:
+            outs = all_outcomes(model, n, tau, options)
+            d, r = _reference_metrics(functions, outs.signals)
+            assert distinguishability(outs) == d
+            assert pearson_r(outs) == r

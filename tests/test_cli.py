@@ -190,7 +190,8 @@ def test_table1_keeps_a_configured_window_to_its_own_row(tmp_path, model):
         ("outcomes_n8t.csv", 8, RunOptions(tailored=True)),
     ):
         _, rows = _read_csv(tmp_path / name)
-        expected = [f"{o.signal:.12g}" for o in all_outcomes(model, n, 1.0, options)]
+        signals = all_outcomes(model, n, 1.0, options).signals
+        expected = [f"{signal:.12g}" for signal in signals]
         assert [cells[-1] for cells in rows] == expected
     assert "# w_min=20" in _header_lines(tmp_path / "metrics.csv")
     # the default window of n = 4, given explicitly, also runs every row
@@ -231,6 +232,53 @@ def test_runs_that_need_no_window_accept_few_upper_levels(tmp_path):
     config.write_text("n_b_states = 20\n")
     for command in ("eigen", "fc"):
         assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_an_output_path_that_is_a_file_exits_with_code_one(tmp_path, capsys, sub):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = afile / sub if sub else afile
+    assert main(["eigen", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"cannot write to out_dir {str(out)!r}" in err
+    assert afile.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize(
+    ("text", "command", "key"),
+    [
+        ("tau = 1e308\n", "pulses", "tau"),
+        ("tau = 0, 1e308\n", "table1", "tau"),
+        ("tau = 2e305\n", "table1", "tau"),
+        ("sweep_max_multiple = 1e308\n", "sweep", "sweep_max_multiple"),
+    ],
+)
+def test_delays_that_overflow_exit_with_code_one(tmp_path, capsys, text, command, key):
+    config = tmp_path / "run.conf"
+    config.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {key} = " in err and "overflows the phase" in err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        (
+            "n_points = 16\nn_x_states = 16\nn_b_states = 16\n",
+            "n_points = 16 too coarse",
+        ),
+        ("r_max = 4.0\n", "grid [2.0, 4.0] angstrom too small"),
+    ],
+)
+def test_grid_problems_name_their_cause(tmp_path, capsys, text, message):
+    config = tmp_path / "run.conf"
+    config.write_text(text)
+    assert main(["eigen", "--config", str(config), "--out", str(tmp_path)]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_out_flag_overrides_the_config_directory(tmp_path):

@@ -1,0 +1,50 @@
+"""The documented usage runs: the README quick start and every demo."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _quick_start() -> str:
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Quick start", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+# Runs the quick start, then each demo as a script, in one interpreter.
+_RUN = """
+import runpy, sys
+exec(compile(sys.argv[1], "README quick start", "exec"), {"__name__": "__main__"})
+for path in sys.argv[2:]:
+    print("== demo", path)
+    runpy.run_path(path, run_name="__main__")
+"""
+
+
+def test_readme_quick_start_and_demos_run(tmp_path):
+    demos = sorted(str(path) for path in (ROOT / "demos").glob("*.py"))
+    assert len(demos) == 4
+    env = dict(
+        os.environ,
+        OPENBLAS_NUM_THREADS="1",
+        OMP_NUM_THREADS="1",
+        MKL_NUM_THREADS="1",
+        PYTHONPATH=os.pathsep.join(
+            filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))
+        ),
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", _RUN, _quick_start(), *demos],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert run.returncode == 0, run.stderr[-2000:]
+    lines = run.stdout.splitlines()
+    assert lines[1] == "True" and lines[3].startswith("D = ")
+    assert sum(line.startswith("== demo") for line in lines) == 4

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from carsdj.algorithm import PERIOD_LEVEL
 from carsdj.constants import TWO_PI_C
 from carsdj.dvr import Grid, build_hamiltonian, solve_bound_states
 from carsdj.dynamics import (
@@ -159,7 +160,7 @@ def test_emission_lines_sit_at_the_upper_to_ground_transitions(model):
     first = prepare_first_order(model, pump, WINDOW)
     stokes = design_stokes(model, 4, WINDOW, (0, 0, 0, 0), duration_fwhm=30.0)
     second = apply_stokes(model, first, stokes, 0.0)
-    spectrum = cars_spectrum(model, second, design_probe(model))
+    spectrum = cars_spectrum(model, second, design_probe(model, PERIOD_LEVEL, 4))
     np.testing.assert_array_equal(spectrum.w_levels, np.arange(model.n_b))
     expect = np.array(
         [transition_wavenumber(model, w, 0) for w in range(model.n_b)]
@@ -169,7 +170,7 @@ def test_emission_lines_sit_at_the_upper_to_ground_transitions(model):
         cars_spectrum(
             model,
             SecondOrderCoherence(a=np.zeros(5, dtype=complex), tau=0.0),
-            design_probe(model),
+            design_probe(model, PERIOD_LEVEL, 4),
         )
 
 
@@ -181,7 +182,7 @@ def test_probe_gates_a_single_emission_line(model):
         model, 4, WINDOW, (0, 0, 0, 0), duration_fwhm=30.0, delay=tau_b
     )
     second = apply_stokes(model, first, stokes, tau_b)
-    spectrum = cars_spectrum(model, second, design_probe(model))
+    spectrum = cars_spectrum(model, second, design_probe(model, PERIOD_LEVEL, 4))
     amps = np.abs(spectrum.amplitudes)
     gate = amps[22]
     assert spectrum.wavenumbers[22] == pytest.approx(
@@ -206,7 +207,7 @@ def test_emitted_line_tracks_the_target_amplitude(model):
 
     tau_b = vibrational_period(model, "B", 22)
     pump = design_pump(model, WINDOW, duration_fwhm=30.0)
-    probe = design_probe(model)
+    probe = design_probe(model, PERIOD_LEVEL, 4)
     first = prepare_first_order(model, pump, WINDOW)
     ratios = []
     for f in enumerate_functions(4):

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from carsdj.algorithm import PERIOD_LEVEL
 from carsdj.constants import C_CM_PER_FS, TWO_PI_C
 from carsdj.molecule import transition_wavenumber
 from carsdj.pulses import (
@@ -235,7 +236,7 @@ def test_designed_stokes_validation(model):
 
 
 def test_designed_probe_gates_one_line(model):
-    probe = design_probe(model)
+    probe = design_probe(model, PERIOD_LEVEL, 4)
     assert probe.center == pytest.approx(
         transition_wavenumber(model, 22, 4), abs=1e-9
     )
