@@ -45,16 +45,17 @@ from .dynamics import (
 from .molecule import VibronicModel, vibrational_period, with_equalized_fc
 from .pulses import PulseSpec, design_pump, design_stokes
 
-# Level windows sized so the target channel stays centred on w = 22.
-DEFAULT_WINDOWS: dict[int, tuple[int, int]] = {
-    2: (21, 22),
-    4: (20, 23),
-    6: (19, 24),
-    8: (18, 25),
-}
-
 # Upper level whose local spacing defines the reference period tau_B.
 PERIOD_LEVEL = 22
+
+_MAX_ENUMERATION_N = 16
+
+# Standard window of every even domain size: n levels centred on
+# PERIOD_LEVEL, which sits at offset n // 2.
+DEFAULT_WINDOWS: dict[int, tuple[int, int]] = {
+    n: (PERIOD_LEVEL - n // 2, PERIOD_LEVEL + n // 2 - 1)
+    for n in range(2, _MAX_ENUMERATION_N + 1, 2)
+}
 
 # Benchmark pulse durations (intensity FWHM, fs).  The published pulse
 # widths leave the Gaussian width convention open; 30 fs reproduces the
@@ -64,8 +65,6 @@ PERIOD_LEVEL = 22
 DEFAULT_PUMP_DURATION = 30.0
 DEFAULT_TAILORED_PUMP_DURATION = 10.0
 DEFAULT_STOKES_DURATION = 30.0
-
-_MAX_ENUMERATION_N = 16
 
 
 @dataclass(frozen=True)
@@ -406,11 +405,13 @@ def pearson_r(outcomes: Outcomes) -> float:
 # Standard benchmark rows: three window sizes plus the tailored variant
 # of the widest one.
 TABLE_ROWS: tuple[tuple[int, bool], ...] = ((4, False), (6, False), (8, False), (8, True))
+# Delays of the table, in multiples of tau_B.
+TABLE_TAUS: tuple[float, ...] = (0.0, 1.0, 2.0)
 
 
 def table_outcomes(
     model: VibronicModel,
-    tau_multiples: tuple[float, ...] = (0.0, 1.0, 2.0),
+    tau_multiples: tuple[float, ...] = TABLE_TAUS,
     rows: tuple[tuple[int, bool], ...] = TABLE_ROWS,
     options: RunOptions = RunOptions(),
 ) -> list[tuple[tuple[int, bool], list[Outcomes]]]:
@@ -452,7 +453,7 @@ def table_metrics(
 
 def fidelity_table(
     model: VibronicModel,
-    tau_multiples: tuple[float, ...] = (0.0, 1.0, 2.0),
+    tau_multiples: tuple[float, ...] = TABLE_TAUS,
     rows: tuple[tuple[int, bool], ...] = TABLE_ROWS,
     options: RunOptions = RunOptions(),
 ) -> list[FidelityMetrics]:

@@ -37,6 +37,7 @@ from .algorithm import (
     DEFAULT_WINDOWS,
     PERIOD_LEVEL,
     TABLE_ROWS,
+    TABLE_TAUS,
     BooleanFunction,
     RunOptions,
     design_pulses,
@@ -69,7 +70,7 @@ from .molecule import (
     vibrational_period,
 )
 from .morse import MorseParams, morse_analytic_levels
-from .pulses import PulseSpec, design_probe, spectral_amplitude
+from .pulses import DEFAULT_PROBE_DURATION, PulseSpec, design_probe, spectral_amplitude
 
 # Largest admissible frequency/time-domain disagreement for oracle-check.
 ORACLE_TOLERANCE = 1e-6
@@ -113,12 +114,12 @@ class ExperimentConfig:
     v_target: int = _RUN_DEFAULTS.v_target
     w_min: int | None = None
     w_max: int | None = None
-    tau: tuple[float, ...] = (0.0, 1.0, 2.0)
+    tau: tuple[float, ...] = TABLE_TAUS
     tailored: bool = _RUN_DEFAULTS.tailored
     flat: bool = _RUN_DEFAULTS.flat_envelopes
     pump_duration: float | None = _RUN_DEFAULTS.pump_duration
     stokes_duration: float = _RUN_DEFAULTS.stokes_duration
-    probe_duration: float = 1000.0
+    probe_duration: float = DEFAULT_PROBE_DURATION
     pump_amplitude: float = _RUN_DEFAULTS.pump_amplitude
     stokes_amplitude: float = _RUN_DEFAULTS.stokes_amplitude
     sweep_max_multiple: float = 2.5
@@ -208,9 +209,10 @@ def _at_least(name: str, bound: int) -> Callable[[int], str | None]:
 
 
 def _check_n(v: int) -> str | None:
-    if v < 2 or v > 16:
-        return f"n must be between 2 and 16, got {v}"
-    if v % 2 != 0:
+    lo, hi = min(DEFAULT_WINDOWS), max(DEFAULT_WINDOWS)
+    if v < lo or v > hi:
+        return f"n must be between {lo} and {hi}, got {v}"
+    if v not in DEFAULT_WINDOWS:
         return f"n must be even (balanced functions need equal halves), got {v}"
     return None
 
@@ -329,19 +331,9 @@ def _validate_cross(config: ExperimentConfig) -> None:
             )
     if (config.w_min is None) != (config.w_max is None):
         raise ConfigError("w_min and w_max must be set together")
-    if config.w_min is None:
-        if config.n not in DEFAULT_WINDOWS:
-            raise ConfigError(
-                f"no default window for n={config.n}; set w_min and w_max"
-            )
-    elif config.w_max < config.w_min:
+    if config.w_min is not None and config.w_max < config.w_min:
         raise ConfigError(
             f"w_max ({config.w_max}) must be at least w_min ({config.w_min})"
-        )
-    elif config.w_max >= config.n_b_states:
-        raise ConfigError(
-            f"w_max ({config.w_max}) is not among the "
-            f"{config.n_b_states} retained upper levels"
         )
     try:
         config.resolved_window()
@@ -350,7 +342,7 @@ def _validate_cross(config: ExperimentConfig) -> None:
     if config.v_target >= config.n_x_states:
         raise ConfigError(
             f"v_target ({config.v_target}) is not among the "
-            f"{config.n_x_states} retained lower levels"
+            f"{config.n_x_states} requested lower levels"
         )
 
 
@@ -453,6 +445,7 @@ def _parse_masks(text: str | None, n: int) -> list[BooleanFunction]:
 # Subcommands
 
 def _cmd_eigen(config: ExperimentConfig, out: Path, args) -> None:
+    """bound-level energies with closed-form deltas"""
     model = config.build()
     surfaces = (
         ("x", config.x_params(), model.x_states),
@@ -492,6 +485,7 @@ def _cmd_eigen(config: ExperimentConfig, out: Path, args) -> None:
 
 
 def _cmd_fc(config: ExperimentConfig, out: Path, args) -> None:
+    """overlap matrix and transition table"""
     model = config.prepared_model()
     rows = [
         (w, v, model.fc[w, v], model.nu[w, v])
@@ -548,6 +542,7 @@ def _check_phase(config: ExperimentConfig, key: str, tau_b: float, nu: float) ->
 
 
 def _cmd_pulses(config: ExperimentConfig, out: Path, args) -> None:
+    """complex pulse spectra"""
     window = config.resolved_window()
     model, tau_b = _delay_model(config, "tau", window)
     masks = _parse_masks(getattr(args, "mask", None), config.n)
@@ -575,6 +570,7 @@ def _cmd_pulses(config: ExperimentConfig, out: Path, args) -> None:
 
 
 def _cmd_sweep(config: ExperimentConfig, out: Path, args) -> None:
+    """signal-versus-delay traces"""
     model, tau_b = _delay_model(config, "sweep_max_multiple", config.resolved_window())
     options = config.run_options()
     masks = _parse_masks(getattr(args, "mask", None), config.n)
@@ -599,6 +595,7 @@ def _cmd_sweep(config: ExperimentConfig, out: Path, args) -> None:
 
 
 def _cmd_table1(config: ExperimentConfig, out: Path, args) -> None:
+    """correlation/distinguishability grid"""
     row_windows = (DEFAULT_WINDOWS[n] for n, _ in TABLE_ROWS)
     model, _ = _delay_model(config, "tau", config.resolved_window(), *row_windows)
     table = table_outcomes(model, tuple(config.tau), TABLE_ROWS, config.run_options())
@@ -639,6 +636,7 @@ def _cmd_table1(config: ExperimentConfig, out: Path, args) -> None:
 
 
 def _cmd_oracle_check(config: ExperimentConfig, out: Path, args) -> None:
+    """frequency- vs time-domain agreement"""
     model = config.build(ORACLE_UPPER_LEVELS[1], ORACLE_TARGET_LEVELS[1])
     rng = np.random.default_rng(config.oracle_seed)
     configs = random_oracle_configs(rng, model, config.oracle_configs)
@@ -743,16 +741,9 @@ def _build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(
         dest="command", required=True, metavar="subcommand"
     )
-    descriptions = {
-        "eigen": "bound-level energies with closed-form deltas",
-        "fc": "overlap matrix and transition table",
-        "pulses": "complex pulse spectra",
-        "sweep": "signal-versus-delay traces",
-        "table1": "correlation/distinguishability grid",
-        "oracle-check": "frequency- vs time-domain agreement",
-    }
-    for name, description in descriptions.items():
-        sub = subparsers.add_parser(name, parents=[common], help=description)
+    for name, command in _COMMANDS.items():
+        # Each subcommand's help line is its function's docstring.
+        sub = subparsers.add_parser(name, parents=[common], help=command.__doc__)
         if name in ("pulses", "sweep"):
             sub.add_argument(
                 "--mask",

@@ -35,6 +35,11 @@ from .constants import TWO_PI_C
 from .molecule import VibronicModel, checked_window, transition_wavenumber
 from .pulses import PulseSpec, spectral_amplitude, time_profile
 
+# Coarse time grid of ``time_domain_oracle``: trapezoidal step in fs and
+# half-width in field standard deviations.
+_ORACLE_STEP_FS = 0.25
+_ORACLE_WINDOW_SIGMAS = 8.0
+
 
 @dataclass(frozen=True)
 class FirstOrderCoherence:
@@ -173,15 +178,13 @@ def time_domain_oracle(
     tau: float,
     v_target: int,
     w_window: tuple[int, int],
-    dt: float = 0.25,
-    window_sigmas: float = 8.0,
 ) -> float:
     """|a_{v_target}| by explicit double time integration of the fields.
 
     Both time orderings of the pump and Stokes interactions are included,
     so the double integral factorises into the product of two single
     integrals, each evaluated here with the trapezoidal rule on a uniform
-    grid (step ``dt``, halved once as a convergence check).  This is the
+    grid (a 0.25 fs step, halved once as a convergence check).  This is the
     independent cross-check of the frequency-domain product form.
 
     Raises
@@ -195,8 +198,6 @@ def time_domain_oracle(
         practical window).
     """
     ws = checked_window(model, w_window, v_target)
-    if dt <= 0.0 or dt > 0.25:
-        raise ValueError(f"time step must be in (0, 0.25] fs, got {dt}")
     nu_w0 = model.nu[ws, 0]
     nu_wv = model.nu[ws, v_target]
     stokes_delayed = replace(stokes, delay=tau)
@@ -219,8 +220,8 @@ def time_domain_oracle(
         fc_prod = model.fc[ws, v_target] * model.fc[ws, 0]
         return complex(-np.sum(fc_prod * i_stokes * i_pump))
 
-    coarse = amplitude(dt, window_sigmas)
-    fine = amplitude(dt / 2.0, 1.5 * window_sigmas)
+    coarse = amplitude(_ORACLE_STEP_FS, _ORACLE_WINDOW_SIGMAS)
+    fine = amplitude(_ORACLE_STEP_FS / 2.0, 1.5 * _ORACLE_WINDOW_SIGMAS)
     scale = max(abs(fine), 1e-300)
     if abs(fine - coarse) / scale > 1e-7:
         raise RuntimeError(

@@ -112,19 +112,19 @@ def _solve_curve(
             n_bound=keep,
         )
     top = sol.energies[-1]
+    # A level whose momentum at the well bottom exceeds the sinc basis
+    # limit pi/dx is an artefact of too few points, whatever the range.
+    k_top = math.sqrt(2.0 * reduced_mass * top / HBARSQ_CM1_AMU_ANG2)
+    if k_top > math.pi / grid.spacing:
+        raise ValueError(
+            f"grid of n_points = {grid.n_points} too coarse for {label} level "
+            f"{sol.n_bound - 1}: its momentum {k_top:.1f} /angstrom exceeds "
+            f"pi/dx = {math.pi / grid.spacing:.1f} /angstrom"
+        )
     inner, outer = turning_points(params, top)
     if (inner - grid.r_min) < _TURNING_MARGIN_ANG or (
         grid.r_max - outer
     ) < _TURNING_MARGIN_ANG:
-        # A level whose momentum at the well bottom exceeds the sinc basis
-        # limit pi/dx is an artefact of too few points, not of the range.
-        k_top = math.sqrt(2.0 * reduced_mass * top / HBARSQ_CM1_AMU_ANG2)
-        if k_top > math.pi / grid.spacing:
-            raise ValueError(
-                f"grid of n_points = {grid.n_points} too coarse for {label} level "
-                f"{sol.n_bound - 1}: its momentum {k_top:.1f} /angstrom exceeds "
-                f"pi/dx = {math.pi / grid.spacing:.1f} /angstrom"
-            )
         raise ValueError(
             f"grid [{grid.r_min}, {grid.r_max}] angstrom too small for {label} "
             f"level {sol.n_bound - 1}: turning points ({inner:.3f}, {outer:.3f}) "

@@ -24,6 +24,10 @@ from .molecule import VibronicModel, checked_window, transition_wavenumber
 # the complex error function would overflow; treat the field as zero.
 _ERF_GUARD_SIGMAS = 25.0 * math.sqrt(2.0)
 
+# Probe intensity FWHM in fs: long enough that the spectrum addresses one
+# upper level only.
+DEFAULT_PROBE_DURATION = 1000.0
+
 
 @dataclass(frozen=True)
 class SpectralMask:
@@ -190,7 +194,7 @@ def time_profile(pulse: PulseSpec, t: np.ndarray | float) -> np.ndarray:
 def design_pump(
     model: VibronicModel,
     w_window: tuple[int, int],
-    duration_fwhm: float = 50.0,
+    duration_fwhm: float,
     amplitude: float = 1.0,
 ) -> PulseSpec:
     """Unmasked pulse centred on the mean of nu(w, 0) over the window."""
@@ -207,7 +211,7 @@ def design_stokes(
     v_target: int,
     w_window: tuple[int, int],
     f_bits: tuple[int, ...],
-    duration_fwhm: float = 50.0,
+    duration_fwhm: float,
     amplitude: float = 1.0,
     delay: float = 0.0,
 ) -> PulseSpec:
@@ -252,14 +256,10 @@ def design_probe(
     model: VibronicModel,
     w_level: int,
     v_target: int,
-    duration_fwhm: float = 1000.0,
+    duration_fwhm: float = DEFAULT_PROBE_DURATION,
     amplitude: float = 1.0,
 ) -> PulseSpec:
-    """Narrowband pulse centred on the single nu(w_level, v_target) line.
-
-    The long default duration makes the spectrum narrow enough to address
-    one upper level only.
-    """
+    """Narrowband pulse centred on the single nu(w_level, v_target) line."""
     return PulseSpec(
         center=transition_wavenumber(model, w_level, v_target),
         duration_fwhm=duration_fwhm,

@@ -89,13 +89,18 @@ def test_enumeration_covers_every_function():
 
 def test_run_options_defaults():
     opts = RunOptions()
-    assert DEFAULT_WINDOWS == {2: (21, 22), 4: (20, 23), 6: (19, 24), 8: (18, 25)}
     assert PERIOD_LEVEL == 22
+    for n, window in {2: (21, 22), 4: (20, 23), 6: (19, 24), 8: (18, 25)}.items():
+        assert DEFAULT_WINDOWS[n] == window
+    # every even size up to 16: n levels with PERIOD_LEVEL at offset n // 2
+    assert sorted(DEFAULT_WINDOWS) == list(range(2, 17, 2))
+    for n, (w_lo, w_hi) in DEFAULT_WINDOWS.items():
+        assert w_hi - w_lo + 1 == n and PERIOD_LEVEL - w_lo == n // 2
     assert opts.resolved_window(4) == (20, 23)
     assert opts.resolved_window(8) == (18, 25)
     assert RunOptions(w_window=(10, 13)).resolved_window(4) == (10, 13)
     with pytest.raises(ValueError, match="no default window"):
-        opts.resolved_window(10)
+        opts.resolved_window(3)
     assert opts.resolved_pump_duration() == DEFAULT_PUMP_DURATION
     assert (
         RunOptions(tailored=True).resolved_pump_duration()
@@ -270,7 +275,7 @@ def test_kernel_equals_run_instance_exactly(model, n, options):
 
 
 @pytest.mark.parametrize(
-    "n, window, tau", [(10, (17, 26), 1.5), (12, (16, 27), 0.5)]
+    "n, window, tau", [(10, (17, 26), 1.5), (12, (16, 27), 0.5), (10, None, 1.0)]
 )
 def test_kernel_equals_run_instance_on_wide_windows(model, n, window, tau):
     options = RunOptions(w_window=window)
@@ -314,7 +319,7 @@ def test_channel_weights_reject_bad_windows_and_targets(model):
     with pytest.raises(ValueError, match="holds 3 levels"):
         channel_weights(model, 4, (0.0,), RunOptions(w_window=(20, 22)))
     with pytest.raises(ValueError, match="no default window"):
-        channel_weights(model, 10, (0.0,))
+        channel_weights(model, 3, (0.0,))
     with pytest.raises(ValueError, match="upper level"):
         channel_weights(model, 4, (0.0,), RunOptions(w_window=(38, 41)))
     with pytest.raises(ValueError, match="outside retained"):

@@ -65,6 +65,8 @@ def test_config_errors_carry_line_numbers():
         parse_config("just some words\n")
     with pytest.raises(ConfigError, match="must be even"):
         parse_config("n = 5\n")
+    with pytest.raises(ConfigError, match="line 1: n must be between 2 and 16"):
+        parse_config("n = 18\n")
 
 
 def test_config_cross_checks():
@@ -72,8 +74,9 @@ def test_config_cross_checks():
         parse_config("w_min = 20\n")
     with pytest.raises(ConfigError, match="holds 6 levels"):
         parse_config("n = 4\nw_min = 20\nw_max = 25\n")
-    with pytest.raises(ConfigError, match="no default window"):
-        parse_config("n = 12\n")
+    assert parse_config("n = 10\n").resolved_window() == (17, 26)
+    assert parse_config("n = 12\n").resolved_window() == (16, 27)
+    assert parse_config("n = 16\n").resolved_window() == (14, 29)
     with pytest.raises(ConfigError, match="r_min"):
         parse_config("r_min = 6.0\nr_max = 3.0\n")
     with pytest.raises(ConfigError, match="v_target"):
@@ -217,6 +220,7 @@ def test_oracle_check_passes_on_a_small_sample(tmp_path):
         ("n_b_states = 20\n", "pulses", 20),
         ("b_d_e = 400\n", "sweep", 19),
         ("n = 8\ntailored = true\nn_b_states = 24\n", "fc", 24),
+        ("w_min = 20\nw_max = 23\nn_b_states = 20\n", "sweep", 20),
     ],
 )
 def test_too_few_upper_levels_name_the_key(tmp_path, capsys, text, command, retained):
@@ -229,9 +233,11 @@ def test_too_few_upper_levels_name_the_key(tmp_path, capsys, text, command, reta
 
 def test_runs_that_need_no_window_accept_few_upper_levels(tmp_path):
     config = tmp_path / "run.conf"
-    config.write_text("n_b_states = 20\n")
-    for command in ("eigen", "fc"):
-        assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 0
+    # an explicit window is checked against the retained levels only by runs that use it
+    for text in ("n_b_states = 20\n", "w_min = 20\nw_max = 23\nn_b_states = 20\n"):
+        config.write_text(text)
+        for command in ("eigen", "fc"):
+            assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 0
 
 
 @pytest.mark.parametrize("sub", ["", "sub"])
@@ -271,6 +277,8 @@ def test_delays_that_overflow_exit_with_code_one(tmp_path, capsys, text, command
             "n_points = 16\nn_x_states = 16\nn_b_states = 16\n",
             "n_points = 16 too coarse",
         ),
+        ("n_points = 100\n", "n_points = 100 too coarse"),
+        ("n_points = 200\n", "n_points = 200 too coarse"),
         ("r_max = 4.0\n", "grid [2.0, 4.0] angstrom too small"),
     ],
 )

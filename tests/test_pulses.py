@@ -207,7 +207,7 @@ def test_designed_pump_center_and_window_errors(model):
     assert pump.amplitude == 0.8
     assert pump.mask is None
     with pytest.raises(ValueError, match="empty window"):
-        design_pump(model, (23, 20))
+        design_pump(model, (23, 20), 30.0)
 
 
 def test_designed_stokes_bins_bracket_each_transition(model):
@@ -228,11 +228,11 @@ def test_designed_stokes_bins_bracket_each_transition(model):
 
 def test_designed_stokes_validation(model):
     with pytest.raises(ValueError, match="at least 2 levels"):
-        design_stokes(model, 4, (22, 22), (0,))
+        design_stokes(model, 4, (22, 22), (0,), 30.0)
     with pytest.raises(ValueError, match="bits for a window"):
-        design_stokes(model, 4, (20, 23), (0, 1))
+        design_stokes(model, 4, (20, 23), (0, 1), 30.0)
     with pytest.raises(ValueError, match="bits must be 0 or 1"):
-        design_stokes(model, 4, (20, 23), (0, 1, 2, 0))
+        design_stokes(model, 4, (20, 23), (0, 1, 2, 0), 30.0)
 
 
 def test_designed_probe_gates_one_line(model):
