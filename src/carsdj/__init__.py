@@ -33,7 +33,6 @@ from .dvr import EigenSolution, Grid, build_hamiltonian, kinetic_matrix, solve_b
 from .dynamics import (
     CarsSpectrum,
     FirstOrderCoherence,
-    SecondOrderCoherence,
     apply_stokes,
     cars_spectrum,
     prepare_first_order,
@@ -91,7 +90,6 @@ __all__ = [
     "Outcomes",
     "PulseSpec",
     "RunOptions",
-    "SecondOrderCoherence",
     "SpectralMask",
     "VibronicModel",
     "all_outcomes",

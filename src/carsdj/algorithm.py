@@ -252,12 +252,12 @@ def run_instance(
     tau = tau_multiple * tau_b
     pump, stokes = design_pulses(model, window, f.bits, options, delay=tau)
     first = prepare_first_order(model, pump, window)
-    second = apply_stokes(model, first, stokes, tau)
+    a = apply_stokes(model, first, stokes)
     return DJOutcome(
         function=f,
         tau_fs=tau,
         tau_multiple=tau_multiple,
-        signal=signal_magnitude(second, options.v_target),
+        signal=signal_magnitude(a, options.v_target),
         s_n=s_n(f),
     )
 
@@ -426,7 +426,7 @@ def table_outcomes(
         (
             (n, tailored),
             [
-                all_outcomes(model, n, m, _row_options(options, n, tailored))
+                all_outcomes(model, n, m, row_options(options, n, tailored))
                 for m in tau_multiples
             ],
         )
@@ -461,7 +461,9 @@ def fidelity_table(
     return table_metrics(table_outcomes(model, tau_multiples, rows, options))
 
 
-def _row_options(options: RunOptions, n: int, tailored: bool) -> RunOptions:
+def row_options(options: RunOptions, n: int, tailored: bool) -> RunOptions:
+    """Options of the table row (n, tailored): a configured window is kept
+    only when it holds n levels, otherwise the row's default applies."""
     window = options.w_window
     if window is not None and window[1] - window[0] + 1 != n:
         window = None

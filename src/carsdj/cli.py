@@ -43,6 +43,7 @@ from .algorithm import (
     design_pulses,
     enumerate_functions,
     prepare_model,
+    row_options,
     sweep_delay,
     table_metrics,
     table_outcomes,
@@ -204,8 +205,17 @@ def _nonnegative(name: str) -> Callable[[float], str | None]:
     return lambda v: None if v >= 0 else f"{name} must be nonnegative"
 
 
-def _at_least(name: str, bound: int) -> Callable[[int], str | None]:
-    return lambda v: None if v >= bound else f"{name} must be at least {bound}"
+def _at_least(
+    name: str, bound: int, most: int | None = None
+) -> Callable[[int], str | None]:
+    def check(v: int) -> str | None:
+        if v < bound:
+            return f"{name} must be at least {bound}"
+        if most is not None and v > most:
+            return f"{name} must be at most {most}, got {v}"
+        return None
+
+    return check
 
 
 def _check_n(v: int) -> str | None:
@@ -230,6 +240,12 @@ def _check_out_dir(v: str) -> str | None:
     return None if v else "out_dir must not be empty"
 
 
+# Upper bounds that keep a run's arrays in memory: the dense Hamiltonian
+# of an 8192-point grid takes 512 MB, and the channel weights of a
+# million-point sweep at n = 16 take 256 MB.
+_MAX_GRID_POINTS = 8192
+_MAX_SWEEP_POINTS = 10**6
+
 # Range check of each key that has one; every key's value type is its
 # field annotation in ExperimentConfig.
 _CHECKS: dict[str, Callable] = {
@@ -245,10 +261,10 @@ _CHECKS: dict[str, Callable] = {
         key: _nonnegative(key)
         for key in ("b_t_e", "v_target", "w_min", "w_max", "oracle_seed")
     },
-    "n_points": _at_least("n_points", 16),
+    "n_points": _at_least("n_points", 16, _MAX_GRID_POINTS),
     "n_x_states": _at_least("n_x_states", 1),
     "n_b_states": _at_least("n_b_states", 1),
-    "sweep_points": _at_least("sweep_points", 2),
+    "sweep_points": _at_least("sweep_points", 2, _MAX_SWEEP_POINTS),
     "oracle_configs": _at_least("oracle_configs", 1),
     "n": _check_n,
     "tau": _check_tau,
@@ -596,9 +612,10 @@ def _cmd_sweep(config: ExperimentConfig, out: Path, args) -> None:
 
 def _cmd_table1(config: ExperimentConfig, out: Path, args) -> None:
     """correlation/distinguishability grid"""
-    row_windows = (DEFAULT_WINDOWS[n] for n, _ in TABLE_ROWS)
-    model, _ = _delay_model(config, "tau", config.resolved_window(), *row_windows)
-    table = table_outcomes(model, tuple(config.tau), TABLE_ROWS, config.run_options())
+    options = config.run_options()
+    windows = (row_options(options, n, t).resolved_window(n) for n, t in TABLE_ROWS)
+    model, _ = _delay_model(config, "tau", *windows)
+    table = table_outcomes(model, tuple(config.tau), TABLE_ROWS, options)
     metrics = table_metrics(table)
     metric_rows = [
         (m.n, m.tau_multiple, m.tailored, m.r, m.d, m.r_pct, m.d_pct)
@@ -642,11 +659,11 @@ def _cmd_oracle_check(config: ExperimentConfig, out: Path, args) -> None:
     configs = random_oracle_configs(rng, model, config.oracle_configs)
     rows = []
     worst = 0.0
-    for index, (window, v_target, pump, stokes, tau) in enumerate(configs):
+    for index, (window, v_target, pump, stokes) in enumerate(configs):
         first = prepare_first_order(model, pump, window)
-        second = apply_stokes(model, first, stokes, tau)
-        freq_signal = signal_magnitude(second, v_target)
-        time_signal = time_domain_oracle(model, pump, stokes, tau, v_target, window)
+        a = apply_stokes(model, first, stokes)
+        freq_signal = signal_magnitude(a, v_target)
+        time_signal = time_domain_oracle(model, pump, stokes, v_target, window)
         rel_dev = abs(freq_signal - time_signal) / max(time_signal, 1e-300)
         worst = max(worst, rel_dev)
         rows.append(
@@ -659,7 +676,7 @@ def _cmd_oracle_check(config: ExperimentConfig, out: Path, args) -> None:
                 pump.amplitude,
                 stokes.amplitude,
                 pump.delay,
-                tau,
+                stokes.delay,
                 freq_signal,
                 time_signal,
                 rel_dev,

@@ -66,16 +66,15 @@ class EigenSolution:
     wavefunctions : np.ndarray
         Shape (n_states, n_points); unit Euclidean norm grid coefficient
         vectors, signed so the first significant component is positive.
-    grid : Grid
-        Grid the states live on.
-    n_bound : int
-        Number of retained states (== len(energies)).
     """
 
     energies: np.ndarray
     wavefunctions: np.ndarray
-    grid: Grid
-    n_bound: int
+
+    @property
+    def n_bound(self) -> int:
+        """Number of retained states."""
+        return len(self.energies)
 
 
 def kinetic_matrix(grid: Grid, reduced_mass: float) -> np.ndarray:
@@ -137,9 +136,7 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def solve_bound_states(
-    hamiltonian: np.ndarray, n_states: int, grid: Grid
-) -> EigenSolution:
+def solve_bound_states(hamiltonian: np.ndarray, n_states: int) -> EigenSolution:
     """Lowest ``n_states`` eigenpairs with a deterministic sign convention.
 
     Raises
@@ -162,10 +159,4 @@ def solve_bound_states(
         )
     except scipy.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigensolver failed to converge: {exc}") from exc
-    wavefunctions = _fix_signs(vectors.T)
-    return EigenSolution(
-        energies=energies,
-        wavefunctions=wavefunctions,
-        grid=grid,
-        n_bound=n_states,
-    )
+    return EigenSolution(energies=energies, wavefunctions=_fix_signs(vectors.T))

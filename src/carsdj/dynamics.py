@@ -9,7 +9,8 @@ Sign and phase conventions (used consistently everywhere):
 * a pulse delayed by tau carries the spectral phase exp(+i 2 pi c nu tau);
 * first order (pump, lower 0 -> upper w):
       c_w = i * fc[w, 0] * A_P(nu(w, 0));
-* second order (Stokes, upper w -> lower v, arriving at tau):
+* second order (Stokes, upper w -> lower v, arriving at
+  tau = stokes.delay):
       a_v = sum_w fc[w, v] * conj(A_S0(nu(w, v)))
                  * exp(-i 2 pi c nu(w, 0) tau) * c_w,
   where A_S0 is the Stokes spectrum evaluated in its own frame (delay
@@ -59,18 +60,6 @@ class FirstOrderCoherence:
 
 
 @dataclass(frozen=True)
-class SecondOrderCoherence:
-    """Lower-state coherence amplitudes after the Stokes interaction.
-
-    ``a[v]`` is the complex amplitude of lower level v against the frozen
-    ground-state bra, for every retained lower level.
-    """
-
-    a: np.ndarray
-    tau: float
-
-
-@dataclass(frozen=True)
 class CarsSpectrum:
     """Anti-Stokes emission lines radiated after the probe.
 
@@ -94,23 +83,20 @@ def prepare_first_order(
 
 
 def apply_stokes(
-    model: VibronicModel,
-    first: FirstOrderCoherence,
-    stokes: PulseSpec,
-    tau: float,
-) -> SecondOrderCoherence:
+    model: VibronicModel, first: FirstOrderCoherence, stokes: PulseSpec
+) -> np.ndarray:
     """Transfer the upper-state coherence down to every retained lower level.
 
-    The Stokes spectrum is evaluated in the pulse's own frame; the arrival
-    delay ``tau`` enters through the explicit upper-state evolution phase
-    (see the module docstring).  Any ``stokes.delay`` is ignored here so
-    callers may carry it for bookkeeping.
+    Returns shape (n_x,): a[v] is the complex amplitude of lower level v
+    against the frozen ground-state bra.  The Stokes spectrum is evaluated
+    in the pulse's own frame; its arrival time ``stokes.delay`` enters
+    through the explicit upper-state evolution phase (see the module
+    docstring).
     """
     ws = first.w_levels
     emission = stokes_emission(model, ws, stokes)
-    weights = first.c * evolution_phase(model, ws, tau)
-    a = np.einsum("wv,wv,w->v", model.fc[ws, :], emission, weights)
-    return SecondOrderCoherence(a=a, tau=tau)
+    weights = first.c * evolution_phase(model, ws, stokes.delay)
+    return np.einsum("wv,wv,w->v", model.fc[ws, :], emission, weights)
 
 
 def stokes_emission(
@@ -140,29 +126,29 @@ def evolution_phase(
     return np.exp(-1j * TWO_PI_C * model.nu[ws, 0] * tau)
 
 
-def signal_magnitude(second: SecondOrderCoherence, v_target: int) -> float:
+def signal_magnitude(a: np.ndarray, v_target: int) -> float:
     """|a_{v_target}|, the observable channel amplitude."""
-    if not (0 <= v_target < second.a.size):
+    if not (0 <= v_target < a.size):
         raise ValueError(
-            f"target level {v_target} outside retained range [0, {second.a.size})"
+            f"target level {v_target} outside retained range [0, {a.size})"
         )
-    return float(np.abs(second.a[v_target]))
+    return float(np.abs(a[v_target]))
 
 
 def cars_spectrum(
-    model: VibronicModel, second: SecondOrderCoherence, probe: PulseSpec
+    model: VibronicModel, a: np.ndarray, probe: PulseSpec
 ) -> CarsSpectrum:
     """Third-order anti-Stokes line amplitudes after the probe.
 
     b_w = sum_v fc[w, v] A_Pr(nu(w, v)) a_v for every retained upper
     level; the line radiated at nu(w, 0) has amplitude b_w * fc[w, 0].
     """
-    if second.a.size != model.n_x:
+    if a.size != model.n_x:
         raise ValueError(
-            f"coherence has {second.a.size} lower levels, model retains {model.n_x}"
+            f"coherence has {a.size} lower levels, model retains {model.n_x}"
         )
     probe_amps = spectral_amplitude(probe, model.nu.ravel()).reshape(model.nu.shape)
-    b = (model.fc * probe_amps) @ second.a
+    b = (model.fc * probe_amps) @ a
     ws = np.arange(model.n_b)
     return CarsSpectrum(
         w_levels=ws,
@@ -175,7 +161,6 @@ def time_domain_oracle(
     model: VibronicModel,
     pump: PulseSpec,
     stokes: PulseSpec,
-    tau: float,
     v_target: int,
     w_window: tuple[int, int],
 ) -> float:
@@ -200,7 +185,6 @@ def time_domain_oracle(
     ws = checked_window(model, w_window, v_target)
     nu_w0 = model.nu[ws, 0]
     nu_wv = model.nu[ws, v_target]
-    stokes_delayed = replace(stokes, delay=tau)
 
     def amplitude(step: float, sigmas: float) -> complex:
         # Pump integral I_P(w) = int E_P(t) exp(+i 2 pi c nu(w,0) t) dt
@@ -213,8 +197,8 @@ def time_domain_oracle(
         # Stokes integral conj(I_S(w)) = int conj(E_S(t)) exp(-i ...) dt
         half_s = sigmas * stokes.sigma_t
         n_pts_s = max(int(np.ceil(2.0 * half_s / step)) + 1, 9)
-        t_s = tau + np.linspace(-half_s, half_s, n_pts_s)
-        field_s = np.conj(time_profile(stokes_delayed, t_s))
+        t_s = stokes.delay + np.linspace(-half_s, half_s, n_pts_s)
+        field_s = np.conj(time_profile(stokes, t_s))
         phase_s = np.exp(-1j * TWO_PI_C * np.outer(nu_wv, t_s))
         i_stokes = np.trapezoid(phase_s * field_s[None, :], t_s, axis=1)
         fc_prod = model.fc[ws, v_target] * model.fc[ws, 0]
@@ -239,11 +223,12 @@ ORACLE_TARGET_LEVELS = (1, 6)
 
 def random_oracle_configs(
     rng: np.random.Generator, model: VibronicModel, k: int
-) -> list[tuple[tuple[int, int], int, PulseSpec, PulseSpec, float]]:
-    """``k`` random (w_window, v_target, pump, stokes, tau) oracle inputs.
+) -> list[tuple[tuple[int, int], int, PulseSpec, PulseSpec]]:
+    """``k`` random (w_window, v_target, pump, stokes) oracle inputs.
 
     Windows span 2-6 levels; both carriers sit within 120 cm^-1 of the
-    mid-window lines nu(mid, 0) and nu(mid, v_target).
+    mid-window lines nu(mid, 0) and nu(mid, v_target).  The Stokes pulse
+    arrives 0-900 fs after time zero.
     """
     w_first, w_last = ORACLE_UPPER_LEVELS
     v_first, v_last = ORACLE_TARGET_LEVELS
@@ -265,7 +250,7 @@ def random_oracle_configs(
             + float(rng.uniform(-120.0, 120.0)),
             duration_fwhm=float(rng.uniform(15.0, 150.0)),
             amplitude=float(rng.uniform(0.3, 3.0)),
+            delay=float(rng.uniform(0.0, 900.0)),
         )
-        tau = float(rng.uniform(0.0, 900.0))
-        configs.append(((w_lo, w_hi), v_target, pump, stokes, tau))
+        configs.append(((w_lo, w_hi), v_target, pump, stokes))
     return configs

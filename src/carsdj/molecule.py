@@ -91,7 +91,7 @@ def _solve_curve(
     label: str,
 ) -> EigenSolution:
     h = build_hamiltonian(grid, lambda r: morse_potential(params, r), reduced_mass)
-    sol = solve_bound_states(h, n_requested, grid)
+    sol = solve_bound_states(h, n_requested)
     # Bound-state cutoff: keep levels below the dissociation limit by at
     # least one local level spacing, so near-threshold grid artefacts are
     # never retained.
@@ -105,12 +105,7 @@ def _solve_curve(
     if keep < 1 or energies[0] >= params.d_e:
         raise ValueError(f"{label} curve binds no retainable state on this grid")
     if keep < sol.n_bound:
-        sol = EigenSolution(
-            energies=energies[:keep],
-            wavefunctions=sol.wavefunctions[:keep],
-            grid=grid,
-            n_bound=keep,
-        )
+        sol = EigenSolution(energies[:keep], sol.wavefunctions[:keep])
     top = sol.energies[-1]
     # A level whose momentum at the well bottom exceeds the sinc basis
     # limit pi/dx is an artefact of too few points, whatever the range.

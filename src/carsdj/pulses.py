@@ -33,6 +33,8 @@ DEFAULT_PROBE_DURATION = 1000.0
 class SpectralMask:
     """Piecewise-constant spectral factor on hard-edged wavenumber bins.
 
+    Outside every bin the factor is 1.
+
     Attributes
     ----------
     bin_edges : np.ndarray
@@ -40,13 +42,10 @@ class SpectralMask:
         the half-open interval [edge_k, edge_{k+1}).
     factors : np.ndarray
         Complex factor applied inside each bin (length N).
-    outside_factor : complex
-        Factor applied outside every bin (default 1).
     """
 
     bin_edges: np.ndarray
     factors: np.ndarray
-    outside_factor: complex = 1.0
 
     def __post_init__(self) -> None:
         edges = np.asarray(self.bin_edges, dtype=float)
@@ -73,7 +72,7 @@ class SpectralMask:
         nu_arr = np.atleast_1d(np.asarray(nu, dtype=float))
         idx = np.searchsorted(self.bin_edges, nu_arr, side="right") - 1
         inside = (idx >= 0) & (idx < self.n_bins)
-        out = np.full(nu_arr.shape, self.outside_factor, dtype=complex)
+        out = np.ones(nu_arr.shape, dtype=complex)
         out[inside] = self.factors[idx[inside]]
         return out
 
@@ -171,8 +170,9 @@ def time_profile(pulse: PulseSpec, t: np.ndarray | float) -> np.ndarray:
     mask = pulse.mask
     # Gaussian times a top-hat bin [a, b] transforms to the difference of
     # two complex error functions; sum the deviation of each bin factor
-    # from the outside factor on top of the full-Gaussian background.
-    total = np.full(t_arr.shape, complex(mask.outside_factor))
+    # from 1 (the factor outside the bins) on top of the full-Gaussian
+    # background.
+    total = np.ones(t_arr.shape, dtype=complex)
     safe = np.abs(s) <= _ERF_GUARD_SIGMAS * sigma
     z_scale = sigma / math.sqrt(2.0)
     edges_omega = TWO_PI_C * mask.bin_edges - omega0
@@ -183,7 +183,7 @@ def time_profile(pulse: PulseSpec, t: np.ndarray | float) -> np.ndarray:
     ]
     correction = np.zeros(s_safe.shape, dtype=complex)
     for k in range(mask.n_bins):
-        delta = mask.factors[k] - mask.outside_factor
+        delta = mask.factors[k] - 1.0
         if delta != 0.0:
             correction += 0.5 * delta * (erf_at_edges[k + 1] - erf_at_edges[k])
     total[safe] += correction
@@ -257,11 +257,9 @@ def design_probe(
     w_level: int,
     v_target: int,
     duration_fwhm: float = DEFAULT_PROBE_DURATION,
-    amplitude: float = 1.0,
 ) -> PulseSpec:
     """Narrowband pulse centred on the single nu(w_level, v_target) line."""
     return PulseSpec(
         center=transition_wavenumber(model, w_level, v_target),
         duration_fwhm=duration_fwhm,
-        amplitude=amplitude,
     )

@@ -99,11 +99,11 @@ def test_criterion_4_frequency_and_time_domain_amplitudes_agree(model):
     rng = np.random.default_rng(20260817)
     start = time.perf_counter()
     worst = 0.0
-    for window, v_target, pump, stokes, tau in random_oracle_configs(rng, model, 20):
+    for window, v_target, pump, stokes in random_oracle_configs(rng, model, 20):
         first = prepare_first_order(model, pump, window)
-        second = apply_stokes(model, first, stokes, tau)
-        freq_signal = signal_magnitude(second, v_target)
-        time_signal = time_domain_oracle(model, pump, stokes, tau, v_target, window)
+        a = apply_stokes(model, first, stokes)
+        freq_signal = signal_magnitude(a, v_target)
+        time_signal = time_domain_oracle(model, pump, stokes, v_target, window)
         worst = max(worst, abs(freq_signal - time_signal) / max(time_signal, 1e-300))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-6 and elapsed < 60.0
@@ -236,9 +236,9 @@ def test_criterion_8_gated_line_tracks_the_prepared_amplitude(model):
         stokes = design_stokes(
             model, 4, window, f.bits, duration_fwhm=30.0, delay=tau_b
         )
-        second = apply_stokes(model, first, stokes, tau_b)
-        spectrum = cars_spectrum(model, second, probe)
-        ratios.append(abs(spectrum.amplitudes[22]) / signal_magnitude(second, 4))
+        a = apply_stokes(model, first, stokes)
+        spectrum = cars_spectrum(model, a, probe)
+        ratios.append(abs(spectrum.amplitudes[22]) / signal_magnitude(a, 4))
     ratios = np.array(ratios)
     spread = float(np.ptp(ratios) / ratios.mean())
     ok = spread < 0.01

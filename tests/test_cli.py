@@ -67,6 +67,10 @@ def test_config_errors_carry_line_numbers():
         parse_config("n = 5\n")
     with pytest.raises(ConfigError, match="line 1: n must be between 2 and 16"):
         parse_config("n = 18\n")
+    with pytest.raises(ConfigError, match="line 1: n_points must be at most 8192"):
+        parse_config("n_points = 1000000\n")
+    with pytest.raises(ConfigError, match="line 2: sweep_points must be at most 1000000"):
+        parse_config("n = 4\nsweep_points = 1000000000000\n")
 
 
 def test_config_cross_checks():
@@ -200,6 +204,18 @@ def test_table1_keeps_a_configured_window_to_its_own_row(tmp_path, model):
     # the default window of n = 4, given explicitly, also runs every row
     config.write_text("w_min = 20\nw_max = 23\n")
     assert main(["table1", "--config", str(config), "--out", str(tmp_path)]) == 0
+
+
+def test_table1_needs_only_the_levels_its_rows_run(tmp_path, capsys):
+    # no row has n = 16, so its window (14, 29) is never run; the rows'
+    # default windows reach upper level 25
+    config = tmp_path / "run.conf"
+    config.write_text("n = 16\nn_b_states = 28\n")
+    assert main(["table1", "--config", str(config), "--out", str(tmp_path)]) == 0
+    config.write_text("n = 16\nn_b_states = 25\n")
+    assert main(["table1", "--config", str(config), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "needs upper level 25, but n_b_states = 25" in err
 
 
 def test_oracle_check_passes_on_a_small_sample(tmp_path):

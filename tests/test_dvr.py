@@ -77,7 +77,7 @@ def test_harmonic_levels_and_orthonormality():
     omega = np.sqrt(k * HBARSQ_CM1_AMU_ANG2 / mu)
     assert omega == pytest.approx(36.72343033, abs=1e-7)
     h = build_hamiltonian(g, lambda r: 0.5 * k * r**2, mu)
-    sol = solve_bound_states(h, 12, g)
+    sol = solve_bound_states(h, 12)
     assert sol.n_bound == 12
     expect = omega * (np.arange(12) + 0.5)
     np.testing.assert_allclose(sol.energies, expect, rtol=0, atol=1e-8)
@@ -88,18 +88,17 @@ def test_harmonic_levels_and_orthonormality():
 def test_eigenvector_sign_convention():
     g = Grid(r_min=-4.0, r_max=4.3, n_points=256)
     h = build_hamiltonian(g, lambda r: 0.5 * 400.0 * r**2, 10.0)
-    sol = solve_bound_states(h, 8, g)
+    sol = solve_bound_states(h, 8)
     for row in sol.wavefunctions:
         first = np.flatnonzero(np.abs(row) > 1e-4 * np.abs(row).max())[0]
         assert row[first] > 0.0
 
 
 def test_solver_rejects_bad_shapes_and_counts():
-    g = Grid(r_min=0.0, r_max=1.0, n_points=16)
     with pytest.raises(ValueError, match="square"):
-        solve_bound_states(np.zeros((4, 5)), 2, g)
+        solve_bound_states(np.zeros((4, 5)), 2)
     h = np.eye(16)
     with pytest.raises(ValueError, match="n_states"):
-        solve_bound_states(h, 0, g)
+        solve_bound_states(h, 0)
     with pytest.raises(ValueError, match="n_states"):
-        solve_bound_states(h, 17, g)
+        solve_bound_states(h, 17)

@@ -9,7 +9,6 @@ from carsdj.algorithm import PERIOD_LEVEL
 from carsdj.constants import TWO_PI_C
 from carsdj.dvr import Grid, build_hamiltonian, solve_bound_states
 from carsdj.dynamics import (
-    SecondOrderCoherence,
     apply_stokes,
     cars_spectrum,
     prepare_first_order,
@@ -59,14 +58,15 @@ def test_first_order_rejects_out_of_range_windows(model):
         prepare_first_order(model, pump, (35, 45))
 
 
-def test_second_order_amplitudes_match_the_explicit_sum(model):
+@pytest.mark.parametrize("tau", [0.0, 200.0])
+def test_second_order_amplitudes_match_the_explicit_sum(model, tau):
+    # the Stokes pulse's own delay sets the upper-state evolution phase
     pump = design_pump(model, WINDOW, duration_fwhm=30.0)
     first = prepare_first_order(model, pump, WINDOW)
-    tau = 200.0
     stokes = design_stokes(
         model, 4, WINDOW, (0, 1, 0, 1), duration_fwhm=30.0, delay=tau
     )
-    second = apply_stokes(model, first, stokes, tau)
+    a = apply_stokes(model, first, stokes)
     stokes0 = replace(stokes, delay=0.0)
     expect = np.zeros(model.n_x, dtype=complex)
     for i, w in enumerate(first.w_levels):
@@ -81,36 +81,20 @@ def test_second_order_amplitudes_match_the_explicit_sum(model):
                 * first.c[i]
                 * phase
             )
-    np.testing.assert_allclose(second.a, expect, rtol=0, atol=1e-14)
-    assert second.tau == tau
-
-
-def test_stokes_bookkeeping_delay_is_ignored(model):
-    pump = design_pump(model, WINDOW, duration_fwhm=30.0)
-    first = prepare_first_order(model, pump, WINDOW)
-    tau = 150.0
-    with_delay = design_stokes(
-        model, 4, WINDOW, (0, 0, 1, 1), duration_fwhm=30.0, delay=tau
-    )
-    without = replace(with_delay, delay=0.0)
-    a1 = apply_stokes(model, first, with_delay, tau).a
-    a2 = apply_stokes(model, first, without, tau).a
-    np.testing.assert_array_equal(a1, a2)
+    np.testing.assert_allclose(a, expect, rtol=0, atol=1e-14)
 
 
 def test_transfer_is_linear_in_both_pulse_amplitudes(model):
-    tau = 90.0
     pump = design_pump(model, WINDOW, duration_fwhm=30.0)
-    stokes = design_stokes(model, 4, WINDOW, (0, 1, 1, 0), duration_fwhm=30.0)
-    base = apply_stokes(
-        model, prepare_first_order(model, pump, WINDOW), stokes, tau
-    ).a
+    stokes = design_stokes(
+        model, 4, WINDOW, (0, 1, 1, 0), duration_fwhm=30.0, delay=90.0
+    )
+    base = apply_stokes(model, prepare_first_order(model, pump, WINDOW), stokes)
     scaled = apply_stokes(
         model,
         prepare_first_order(model, replace(pump, amplitude=1.9), WINDOW),
         replace(stokes, amplitude=2.5),
-        tau,
-    ).a
+    )
     np.testing.assert_allclose(scaled, 1.9 * 2.5 * base, rtol=1e-12)
 
 
@@ -118,10 +102,10 @@ def test_signal_magnitude_reads_one_channel(model):
     pump = design_pump(model, WINDOW, duration_fwhm=30.0)
     first = prepare_first_order(model, pump, WINDOW)
     stokes = design_stokes(model, 4, WINDOW, (0, 0, 0, 0), duration_fwhm=30.0)
-    second = apply_stokes(model, first, stokes, 0.0)
-    assert signal_magnitude(second, 4) == abs(second.a[4])
+    a = apply_stokes(model, first, stokes)
+    assert signal_magnitude(a, 4) == abs(a[4])
     with pytest.raises(ValueError, match="target level"):
-        signal_magnitude(second, 40)
+        signal_magnitude(a, 40)
 
 
 def test_frequency_domain_amplitude_matches_time_quadrature(model):
@@ -135,12 +119,11 @@ def test_frequency_domain_amplitude_matches_time_quadrature(model):
         center=transition_wavenumber(model, 21, 3) - 25.0,
         duration_fwhm=60.0,
         amplitude=0.7,
+        delay=350.0,
     )
-    tau = 350.0
     first = prepare_first_order(model, pump, (19, 23))
-    second = apply_stokes(model, first, stokes, tau)
-    fast = signal_magnitude(second, 3)
-    slow = time_domain_oracle(model, pump, stokes, tau, 3, (19, 23))
+    fast = signal_magnitude(apply_stokes(model, first, stokes), 3)
+    slow = time_domain_oracle(model, pump, stokes, 3, (19, 23))
     assert abs(fast - slow) / slow < 1e-6
 
 
@@ -148,17 +131,17 @@ def test_time_quadrature_validates_inputs(model):
     pump = design_pump(model, WINDOW, duration_fwhm=30.0)
     stokes = PulseSpec(center=17100.0, duration_fwhm=30.0)
     with pytest.raises(ValueError, match="target level"):
-        time_domain_oracle(model, pump, stokes, 0.0, 40, WINDOW)
+        time_domain_oracle(model, pump, stokes, 40, WINDOW)
     with pytest.raises(ValueError, match="window"):
-        time_domain_oracle(model, pump, stokes, 0.0, 4, (38, 45))
+        time_domain_oracle(model, pump, stokes, 4, (38, 45))
 
 
 def test_emission_lines_sit_at_the_upper_to_ground_transitions(model):
     pump = design_pump(model, WINDOW, duration_fwhm=30.0)
     first = prepare_first_order(model, pump, WINDOW)
     stokes = design_stokes(model, 4, WINDOW, (0, 0, 0, 0), duration_fwhm=30.0)
-    second = apply_stokes(model, first, stokes, 0.0)
-    spectrum = cars_spectrum(model, second, design_probe(model, PERIOD_LEVEL, 4))
+    a = apply_stokes(model, first, stokes)
+    spectrum = cars_spectrum(model, a, design_probe(model, PERIOD_LEVEL, 4))
     np.testing.assert_array_equal(spectrum.w_levels, np.arange(model.n_b))
     expect = np.array(
         [transition_wavenumber(model, w, 0) for w in range(model.n_b)]
@@ -166,9 +149,7 @@ def test_emission_lines_sit_at_the_upper_to_ground_transitions(model):
     np.testing.assert_allclose(spectrum.wavenumbers, expect, rtol=1e-12)
     with pytest.raises(ValueError, match="lower levels"):
         cars_spectrum(
-            model,
-            SecondOrderCoherence(a=np.zeros(5, dtype=complex), tau=0.0),
-            design_probe(model, PERIOD_LEVEL, 4),
+            model, np.zeros(5, dtype=complex), design_probe(model, PERIOD_LEVEL, 4)
         )
 
 
@@ -179,8 +160,8 @@ def test_probe_gates_a_single_emission_line(model):
     stokes = design_stokes(
         model, 4, WINDOW, (0, 0, 0, 0), duration_fwhm=30.0, delay=tau_b
     )
-    second = apply_stokes(model, first, stokes, tau_b)
-    spectrum = cars_spectrum(model, second, design_probe(model, PERIOD_LEVEL, 4))
+    a = apply_stokes(model, first, stokes)
+    spectrum = cars_spectrum(model, a, design_probe(model, PERIOD_LEVEL, 4))
     amps = np.abs(spectrum.amplitudes)
     gate = amps[22]
     assert spectrum.wavenumbers[22] == pytest.approx(
@@ -212,9 +193,9 @@ def test_emitted_line_tracks_the_target_amplitude(model):
         stokes = design_stokes(
             model, 4, WINDOW, f.bits, duration_fwhm=30.0, delay=tau_b
         )
-        second = apply_stokes(model, first, stokes, tau_b)
-        spectrum = cars_spectrum(model, second, probe)
-        ratios.append(np.abs(spectrum.amplitudes[22]) / signal_magnitude(second, 4))
+        a = apply_stokes(model, first, stokes)
+        spectrum = cars_spectrum(model, a, probe)
+        ratios.append(np.abs(spectrum.amplitudes[22]) / signal_magnitude(a, 4))
     ratios = np.array(ratios)
     assert np.ptp(ratios) / ratios.mean() < 1e-6
 
@@ -225,10 +206,10 @@ def test_equally_spaced_levels_revive_exactly_after_one_period():
     k_x, k_b, mu = 500.0, 300.0, 20.0
     g = Grid(-5.0, 5.4, 700)
     lower = solve_bound_states(
-        build_hamiltonian(g, lambda r: 0.5 * k_x * r**2, mu), 12, g
+        build_hamiltonian(g, lambda r: 0.5 * k_x * r**2, mu), 12
     )
     upper = solve_bound_states(
-        build_hamiltonian(g, lambda r: 0.5 * k_b * (r - 0.35) ** 2, mu), 12, g
+        build_hamiltonian(g, lambda r: 0.5 * k_b * (r - 0.35) ** 2, mu), 12
     )
     synth = VibronicModel(
         x_states=lower,
@@ -247,8 +228,8 @@ def test_equally_spaced_levels_revive_exactly_after_one_period():
         stokes = design_stokes(
             synth, v_target, window, (0, 1, 1, 0), duration_fwhm=40.0, delay=tau
         )
-        second = apply_stokes(synth, first, stokes, tau)
-        signals.append(signal_magnitude(second, v_target))
+        a = apply_stokes(synth, first, stokes)
+        signals.append(signal_magnitude(a, v_target))
     assert signals[0] == pytest.approx(2.4720328362e-02, rel=1e-8)
     assert abs(signals[1] - signals[0]) / signals[0] < 1e-9
     assert abs(signals[2] - signals[0]) / signals[0] < 1e-9

@@ -65,10 +65,10 @@ def test_displaced_oscillator_overlaps_match_closed_form():
     mu, k, d = 10.0, 400.0, 0.3
     g = Grid(-4.0, 4.3, 512)
     lower = solve_bound_states(
-        build_hamiltonian(g, lambda r: 0.5 * k * r**2, mu), 12, g
+        build_hamiltonian(g, lambda r: 0.5 * k * r**2, mu), 12
     )
     upper = solve_bound_states(
-        build_hamiltonian(g, lambda r: 0.5 * k * (r - d) ** 2, mu), 12, g
+        build_hamiltonian(g, lambda r: 0.5 * k * (r - d) ** 2, mu), 12
     )
     fc = upper.wavefunctions @ lower.wavefunctions.T
     omega = math.sqrt(k * HBARSQ_CM1_AMU_ANG2 / mu)

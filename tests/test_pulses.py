@@ -41,13 +41,9 @@ def test_mask_bins_are_half_open():
 
 
 def test_mask_outside_factor():
-    mask = SpectralMask(
-        bin_edges=np.array([0.0, 1.0]),
-        factors=np.array([-1.0]),
-        outside_factor=0.5,
-    )
+    mask = SpectralMask(bin_edges=np.array([0.0, 1.0]), factors=np.array([-1.0]))
     np.testing.assert_array_equal(
-        mask.factor(np.array([-1.0, 0.5, 2.0])), [0.5, -1.0, 0.5]
+        mask.factor(np.array([-1e6, -1.0, 0.5, 2.0, 1e6])), [1.0, 1.0, -1.0, 1.0, 1.0]
     )
 
 
