@@ -33,7 +33,7 @@ def main() -> None:
     for multiple in (0.0, 1.0, 2.0):
         gain = cell[(8, multiple, True)] - cell[(8, multiple, False)]
         print(f"  {multiple:.0f} periods: {gain:+.4f}")
-    runs = 3 * (2**4 + 2**6 + 2**8 + 2**8)
+    runs = sum(2**m.n for m in table)
     print(f"\n{len(table)} rows ({runs} classifier runs) in {elapsed:.2f} s")
 
 

@@ -31,7 +31,6 @@ from .algorithm import (
 )
 from .dvr import EigenSolution, Grid, build_hamiltonian, kinetic_matrix, solve_bound_states
 from .dynamics import (
-    CarsSpectrum,
     FirstOrderCoherence,
     apply_stokes,
     cars_spectrum,
@@ -72,7 +71,6 @@ from .pulses import (
 
 __all__ = [
     "BooleanFunction",
-    "CarsSpectrum",
     "DEFAULT_GRID",
     "DEFAULT_PUMP_DURATION",
     "DEFAULT_STOKES_DURATION",

@@ -206,15 +206,27 @@ class Outcomes:
         return self.n - 2 * _bit_matrix(self.n).sum(axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FidelityMetrics:
-    """Correlation and distinguishability for one (n, tau, mode) cell."""
+    """Correlation and distinguishability of one benchmark table cell.
 
-    n: int
-    tau_multiple: float
+    ``outcomes`` holds every signal the metrics are computed from; the
+    cell's n and delay are read from it.  Equality is identity: the
+    outcomes hold an array.
+    """
+
     tailored: bool
+    outcomes: Outcomes
     r: float
     d: float
+
+    @property
+    def n(self) -> int:
+        return self.outcomes.n
+
+    @property
+    def tau_multiple(self) -> float:
+        return self.outcomes.tau_multiple
 
     @property
     def r_pct(self) -> int:
@@ -409,56 +421,29 @@ TABLE_ROWS: tuple[tuple[int, bool], ...] = ((4, False), (6, False), (8, False), 
 TABLE_TAUS: tuple[float, ...] = (0.0, 1.0, 2.0)
 
 
-def table_outcomes(
-    model: VibronicModel,
-    tau_multiples: tuple[float, ...] = TABLE_TAUS,
-    rows: tuple[tuple[int, bool], ...] = TABLE_ROWS,
-    options: RunOptions = RunOptions(),
-) -> list[tuple[tuple[int, bool], list[Outcomes]]]:
-    """Every outcome of the benchmark table, enumerated once per cell.
-
-    One entry per row, ``((n, tailored), cells)``, where ``cells`` holds
-    the ``all_outcomes`` result of each delay in order.  A configured
-    ``options.w_window`` applies only to the rows whose n matches its
-    size; the other rows use their default windows.
-    """
-    return [
-        (
-            (n, tailored),
-            [
-                all_outcomes(model, n, m, row_options(options, n, tailored))
-                for m in tau_multiples
-            ],
-        )
-        for n, tailored in rows
-    ]
-
-
-def table_metrics(
-    table: list[tuple[tuple[int, bool], list[Outcomes]]],
-) -> list[FidelityMetrics]:
-    """D and r of every cell of a ``table_outcomes`` result, row by row."""
-    return [
-        FidelityMetrics(
-            n=n,
-            tau_multiple=outcomes.tau_multiple,
-            tailored=tailored,
-            r=pearson_r(outcomes),
-            d=distinguishability(outcomes),
-        )
-        for (n, tailored), cells in table
-        for outcomes in cells
-    ]
-
-
 def fidelity_table(
     model: VibronicModel,
     tau_multiples: tuple[float, ...] = TABLE_TAUS,
-    rows: tuple[tuple[int, bool], ...] = TABLE_ROWS,
     options: RunOptions = RunOptions(),
 ) -> list[FidelityMetrics]:
-    """Correlation/distinguishability grid over window sizes and delays."""
-    return table_metrics(table_outcomes(model, tau_multiples, rows, options))
+    """Correlation/distinguishability grid over ``TABLE_ROWS`` and delays.
+
+    One cell per row and delay, in row order, each enumerated once by
+    ``all_outcomes``.  A configured ``options.w_window`` applies only to
+    the rows whose n matches its size; the other rows use their default
+    windows.
+    """
+    table = []
+    for n, tailored in TABLE_ROWS:
+        row = row_options(options, n, tailored)
+        for m in tau_multiples:
+            outcomes = all_outcomes(model, n, m, row)
+            table.append(
+                FidelityMetrics(
+                    tailored, outcomes, pearson_r(outcomes), distinguishability(outcomes)
+                )
+            )
+    return table
 
 
 def row_options(options: RunOptions, n: int, tailored: bool) -> RunOptions:
@@ -467,6 +452,4 @@ def row_options(options: RunOptions, n: int, tailored: bool) -> RunOptions:
     window = options.w_window
     if window is not None and window[1] - window[0] + 1 != n:
         window = None
-    if options.tailored == tailored and options.w_window == window:
-        return options
     return replace(options, tailored=tailored, w_window=window)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, fields, replace
+from itertools import groupby
 from pathlib import Path
 from typing import Callable
 
@@ -42,11 +43,10 @@ from .algorithm import (
     RunOptions,
     design_pulses,
     enumerate_functions,
+    fidelity_table,
     prepare_model,
     row_options,
     sweep_delay,
-    table_metrics,
-    table_outcomes,
 )
 from .constants import TWO_PI_C
 from .dvr import Grid
@@ -70,7 +70,7 @@ from .molecule import (
     build_model,
     vibrational_period,
 )
-from .morse import MorseParams, morse_analytic_levels
+from .morse import MorseParams, morse_analytic_levels, morse_potential
 from .pulses import DEFAULT_PROBE_DURATION, PulseSpec, design_probe, spectral_amplitude
 
 # Largest admissible frequency/time-domain disagreement for oracle-check.
@@ -339,6 +339,16 @@ def _validate_cross(config: ExperimentConfig) -> None:
         raise ConfigError(
             f"r_min ({config.r_min:g}) must be below r_max ({config.r_max:g})"
         )
+    # A Morse curve is largest at an end of the grid.
+    ends = np.array([config.r_min, config.r_max])
+    for tag, params in (("x", config.x_params()), ("b", config.b_params())):
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(morse_potential(params, ends)).all()
+        if not finite:
+            raise ConfigError(
+                f"{tag}_d_e, {tag}_r_e and {tag}_beta make the Morse curve "
+                f"overflow on the grid [{config.r_min:g}, {config.r_max:g}] angstrom"
+            )
     for key in ("n_x_states", "n_b_states"):
         if getattr(config, key) > config.n_points:
             raise ConfigError(
@@ -615,11 +625,10 @@ def _cmd_table1(config: ExperimentConfig, out: Path, args) -> None:
     options = config.run_options()
     windows = (row_options(options, n, t).resolved_window(n) for n, t in TABLE_ROWS)
     model, _ = _delay_model(config, "tau", *windows)
-    table = table_outcomes(model, tuple(config.tau), TABLE_ROWS, options)
-    metrics = table_metrics(table)
+    table = fidelity_table(model, config.tau, options)
     metric_rows = [
         (m.n, m.tau_multiple, m.tailored, m.r, m.d, m.r_pct, m.d_pct)
-        for m in metrics
+        for m in table
     ]
     _write_csv(
         out / "metrics.csv",
@@ -628,11 +637,11 @@ def _cmd_table1(config: ExperimentConfig, out: Path, args) -> None:
         ("n", "tau_multiple", "tailored", "r", "d", "r_pct", "d_pct"),
         metric_rows,
     )
-    for (n, tailored), cells in table:
+    for (n, tailored), cells in groupby(table, lambda m: (m.n, m.tailored)):
         functions = enumerate_functions(n)
         rows = [
             (f.index, f.as_string, f.classification, s, o.tau_fs, o.tau_multiple, a)
-            for o in cells
+            for o in (m.outcomes for m in cells)
             for f, s, a in zip(functions, o.s_n.tolist(), o.signals.tolist())
         ]
         name = f"outcomes_n{n}t.csv" if tailored else f"outcomes_n{n}.csv"
@@ -645,7 +654,7 @@ def _cmd_table1(config: ExperimentConfig, out: Path, args) -> None:
             (("row_n", n), ("row_tailored", tailored)),
         )
     print("n   tailored  tau   r%   D%")
-    for m in metrics:
+    for m in table:
         print(
             f"{m.n}   {_fmt(m.tailored):5s}     {_fmt(m.tau_multiple):4s} "
             f"{m.r_pct:3d}  {m.d_pct:3d}"
@@ -774,8 +783,8 @@ def _load_config(args) -> ExperimentConfig:
     text = ""
     if args.config is not None:
         try:
-            text = Path(args.config).read_text()
-        except OSError as exc:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {args.config!r}: {exc}")
     config = parse_config(text)
     overrides: dict[str, object] = {}

@@ -59,19 +59,6 @@ class FirstOrderCoherence:
     c: np.ndarray
 
 
-@dataclass(frozen=True)
-class CarsSpectrum:
-    """Anti-Stokes emission lines radiated after the probe.
-
-    One line per retained upper level w: wavenumber nu(w, 0) and complex
-    amplitude b_w * fc[w, 0].
-    """
-
-    w_levels: np.ndarray
-    wavenumbers: np.ndarray
-    amplitudes: np.ndarray
-
-
 def prepare_first_order(
     model: VibronicModel, pump: PulseSpec, w_window: tuple[int, int]
 ) -> FirstOrderCoherence:
@@ -137,11 +124,12 @@ def signal_magnitude(a: np.ndarray, v_target: int) -> float:
 
 def cars_spectrum(
     model: VibronicModel, a: np.ndarray, probe: PulseSpec
-) -> CarsSpectrum:
+) -> np.ndarray:
     """Third-order anti-Stokes line amplitudes after the probe.
 
     b_w = sum_v fc[w, v] A_Pr(nu(w, v)) a_v for every retained upper
-    level; the line radiated at nu(w, 0) has amplitude b_w * fc[w, 0].
+    level; returns shape (n_b,), the amplitude b_w * fc[w, 0] of the line
+    radiated at nu(w, 0).
     """
     if a.size != model.n_x:
         raise ValueError(
@@ -149,12 +137,7 @@ def cars_spectrum(
         )
     probe_amps = spectral_amplitude(probe, model.nu.ravel()).reshape(model.nu.shape)
     b = (model.fc * probe_amps) @ a
-    ws = np.arange(model.n_b)
-    return CarsSpectrum(
-        w_levels=ws,
-        wavenumbers=model.nu[:, 0],
-        amplitudes=b * model.fc[:, 0],
-    )
+    return b * model.fc[:, 0]
 
 
 def time_domain_oracle(

@@ -10,6 +10,7 @@ from carsdj.algorithm import (
     DEFAULT_TAILORED_PUMP_DURATION,
     DEFAULT_WINDOWS,
     PERIOD_LEVEL,
+    TABLE_ROWS,
     BooleanFunction,
     FidelityMetrics,
     Outcomes,
@@ -23,8 +24,6 @@ from carsdj.algorithm import (
     run_instance,
     s_n,
     sweep_delay,
-    table_metrics,
-    table_outcomes,
 )
 
 _KERNEL_TAUS = (0.0, 0.5, 1.0, 1.5, 2.0)
@@ -223,30 +222,34 @@ def test_fidelity_table_layout_and_values(model):
 
 
 def test_percentage_rounding():
-    m = FidelityMetrics(n=4, tau_multiple=0.0, tailored=False, r=0.978, d=0.8649)
+    outcomes = _outcomes([1.0, 0.2, 0.2, 1.0])
+    m = FidelityMetrics(tailored=False, outcomes=outcomes, r=0.978, d=0.8649)
+    assert (m.n, m.tau_multiple) == (2, 0.0)
     assert m.r_pct == 98
     assert m.d_pct == 86
 
 
-def test_fidelity_table_is_built_from_table_outcomes(model):
-    table = table_outcomes(model, (1.0,), ((4, False), (8, True)))
-    assert [(row, len(cells)) for row, cells in table] == [
-        ((4, False), 1), ((8, True), 1),
-    ]
-    direct = all_outcomes(model, 8, 1.0, RunOptions(tailored=True))
-    assert np.array_equal(table[1][1][0].signals, direct.signals)
-    rows = ((4, False), (8, True))
-    assert fidelity_table(model, (1.0,), rows) == table_metrics(table)
+def test_fidelity_table_cells_equal_all_outcomes(model):
+    table = fidelity_table(model, (0.0, 1.0))
+    assert len(table) == 2 * len(TABLE_ROWS)
+    for m in table:
+        direct = all_outcomes(
+            model, m.n, m.tau_multiple, RunOptions(tailored=m.tailored)
+        )
+        assert np.array_equal(m.outcomes.signals, direct.signals)
+        assert m.outcomes.tau_fs == direct.tau_fs
+        assert (m.r, m.d) == (pearson_r(direct), distinguishability(direct))
 
 
 def test_table_rows_of_another_size_use_default_windows(model):
     # a configured window applies only to the row whose n matches it
     options = RunOptions(w_window=(20, 25))
-    table = dict(table_outcomes(model, (1.0,), ((4, False), (6, False)), options))
+    table = fidelity_table(model, (1.0,), options)
+    cells = {(m.n, m.tailored): m.outcomes for m in table}
     default_4 = all_outcomes(model, 4, 1.0)
     shifted_6 = all_outcomes(model, 6, 1.0, options)
-    assert np.array_equal(table[(4, False)][0].signals, default_4.signals)
-    assert np.array_equal(table[(6, False)][0].signals, shifted_6.signals)
+    assert np.array_equal(cells[(4, False)].signals, default_4.signals)
+    assert np.array_equal(cells[(6, False)].signals, shifted_6.signals)
 
 
 def test_enumeration_returns_a_fresh_list_each_call():

@@ -138,6 +138,37 @@ def test_fc_writes_the_full_overlap_table(tmp_path):
     assert len(rows) == 1600
 
 
+def test_eigen_dumps_unit_norm_wavefunctions(tmp_path):
+    config = tmp_path / "run.conf"
+    config.write_text("dump_wavefunctions = true\n")
+    assert main(["eigen", "--config", str(config), "--out", str(tmp_path)]) == 0
+    for tag in ("x", "b"):
+        header, rows = _read_csv(tmp_path / f"wavefunctions_{tag}.csv")
+        assert header == ["index", "energy_cm1"] + [f"c{j}" for j in range(512)]
+        _, levels = _read_csv(tmp_path / f"eigen_{tag}.csv")
+        assert [cells[:2] for cells in rows] == [cells[:2] for cells in levels]
+        coefficients = np.array([[float(c) for c in cells[2:]] for cells in rows])
+        np.testing.assert_allclose((coefficients**2).sum(axis=1), 1.0, atol=1e-9)
+
+
+def test_fc_tailored_equalizes_the_window_channels(tmp_path):
+    plain, tailored = tmp_path / "plain", tmp_path / "tailored"
+    assert main(["fc", "--out", str(plain)]) == 0
+    assert main(["fc", "--tailored", "--out", str(tailored)]) == 0
+    _, plain_rows = _read_csv(plain / "fc.csv")
+    _, rows = _read_csv(tailored / "fc.csv")
+    assert len(rows) == len(plain_rows) == 1600
+    channels = {0: set(), 4: set()}
+    for cells, plain_cells in zip(rows, plain_rows):
+        w, v = int(cells[0]), int(cells[1])
+        if 20 <= w <= 23 and v in channels:
+            channels[v].add(abs(float(cells[2])))
+            assert cells[3] == plain_cells[3]
+        else:
+            assert cells == plain_cells
+    assert all(len(magnitudes) == 1 for magnitudes in channels.values())
+
+
 def test_pulses_writes_spectra_for_each_mask(tmp_path):
     assert main(["pulses", "--out", str(tmp_path), "--mask", "0101,0000"]) == 0
     for name in ("pump.csv", "probe.csv", "stokes_0101.csv", "stokes_0000.csv"):
@@ -147,6 +178,16 @@ def test_pulses_writes_spectra_for_each_mask(tmp_path):
     comments = _header_lines(tmp_path / "stokes_0101.csv")
     assert any(line.startswith("# mask=0101") for line in comments)
     assert any(line.startswith("# tau_b_fs=387.38497") for line in comments)
+
+
+def test_flat_pulses_have_constant_magnitude(tmp_path):
+    config = tmp_path / "run.conf"
+    config.write_text("flat = true\n")
+    assert main(["pulses", "--config", str(config), "--out", str(tmp_path)]) == 0
+    _, rows = _read_csv(tmp_path / "probe.csv")
+    amps = np.array([complex(float(c[1]), float(c[2])) for c in rows])
+    assert len(amps) == 2001
+    np.testing.assert_allclose(np.abs(amps), 1.0, rtol=1e-11)
 
 
 def test_sweep_default_masks_and_reproducible_bytes(tmp_path):
@@ -305,6 +346,25 @@ def test_grid_problems_name_their_cause(tmp_path, capsys, text, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("text", "command", "tag"),
+    [
+        ("x_beta = 1000\n", "eigen", "x"),
+        ("b_beta = 400\n", "pulses", "b"),
+        ("x_r_e = 1e300\n", "eigen", "x"),
+    ],
+)
+def test_morse_curves_that_overflow_name_their_keys(tmp_path, capsys, text, command, tag):
+    config = tmp_path / "run.conf"
+    config.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {tag}_d_e, {tag}_r_e and {tag}_beta" in err
+    assert "grid [2, 6.5] angstrom" in err
+    assert not out.exists()
+
+
 def test_out_flag_overrides_the_config_directory(tmp_path):
     config = tmp_path / "run.conf"
     config.write_text(f"out_dir = {tmp_path / 'ignored'}\n")
@@ -324,6 +384,13 @@ def test_configuration_problems_exit_with_code_one(tmp_path, capsys):
     assert main(["pulses", "--mask", "01x0", "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_an_undecodable_config_file_is_named(tmp_path, capsys):
+    bad = tmp_path / "bad.conf"
+    bad.write_bytes(b"\xffn = 4\n")
+    assert main(["eigen", "--config", str(bad), "--out", str(tmp_path)]) == 1
+    assert f"error: cannot read config file {str(bad)!r}" in capsys.readouterr().err
 
 
 def test_numerical_failures_exit_with_code_two(tmp_path, monkeypatch, capsys):

@@ -142,11 +142,7 @@ def test_emission_lines_sit_at_the_upper_to_ground_transitions(model):
     stokes = design_stokes(model, 4, WINDOW, (0, 0, 0, 0), duration_fwhm=30.0)
     a = apply_stokes(model, first, stokes)
     spectrum = cars_spectrum(model, a, design_probe(model, PERIOD_LEVEL, 4))
-    np.testing.assert_array_equal(spectrum.w_levels, np.arange(model.n_b))
-    expect = np.array(
-        [transition_wavenumber(model, w, 0) for w in range(model.n_b)]
-    )
-    np.testing.assert_allclose(spectrum.wavenumbers, expect, rtol=1e-12)
+    assert spectrum.shape == (model.n_b,)
     with pytest.raises(ValueError, match="lower levels"):
         cars_spectrum(
             model, np.zeros(5, dtype=complex), design_probe(model, PERIOD_LEVEL, 4)
@@ -162,11 +158,8 @@ def test_probe_gates_a_single_emission_line(model):
     )
     a = apply_stokes(model, first, stokes)
     spectrum = cars_spectrum(model, a, design_probe(model, PERIOD_LEVEL, 4))
-    amps = np.abs(spectrum.amplitudes)
+    amps = np.abs(spectrum)
     gate = amps[22]
-    assert spectrum.wavenumbers[22] == pytest.approx(
-        transition_wavenumber(model, 22, 0), abs=1e-6
-    )
     # the adjacent upper levels radiate nothing through the narrow probe
     assert amps[21] / gate < 1e-12
     assert amps[23] / gate < 1e-12
@@ -175,7 +168,7 @@ def test_probe_gates_a_single_emission_line(model):
     others = np.delete(np.arange(model.n_b), 22)
     leaky = others[amps[others] > 1e-3 * gate]
     if leaky.size:
-        separation = np.abs(spectrum.wavenumbers[leaky] - spectrum.wavenumbers[22]).min()
+        separation = np.abs(model.nu[leaky, 0] - model.nu[22, 0]).min()
         assert separation > 100.0
 
 
@@ -195,7 +188,7 @@ def test_emitted_line_tracks_the_target_amplitude(model):
         )
         a = apply_stokes(model, first, stokes)
         spectrum = cars_spectrum(model, a, probe)
-        ratios.append(np.abs(spectrum.amplitudes[22]) / signal_magnitude(a, 4))
+        ratios.append(np.abs(spectrum[22]) / signal_magnitude(a, 4))
     ratios = np.array(ratios)
     assert np.ptp(ratios) / ratios.mean() < 1e-6
 
