@@ -48,7 +48,7 @@ from .algorithm import (
     row_options,
     sweep_delay,
 )
-from .constants import TWO_PI_C
+from .constants import HBARSQ_CM1_AMU_ANG2, TWO_PI_C
 from .dvr import Grid
 from .dynamics import (
     ORACLE_TARGET_LEVELS,
@@ -70,7 +70,13 @@ from .molecule import (
     build_model,
     vibrational_period,
 )
-from .morse import MorseParams, morse_analytic_levels, morse_potential
+from .morse import (
+    MorseParams,
+    anharmonicity,
+    harmonic_wavenumber,
+    morse_analytic_levels,
+    morse_potential,
+)
 from .pulses import DEFAULT_PROBE_DURATION, PulseSpec, design_probe, spectral_amplitude
 
 # Largest admissible frequency/time-domain disagreement for oracle-check.
@@ -341,6 +347,8 @@ def _validate_cross(config: ExperimentConfig) -> None:
         )
     # A Morse curve is largest at an end of the grid.
     ends = np.array([config.r_min, config.r_max])
+    # Sinc-basis momentum limit pi/dx of the finest grid n_points allows.
+    k_finest = np.pi * (_MAX_GRID_POINTS - 1) / (config.r_max - config.r_min)
     for tag, params in (("x", config.x_params()), ("b", config.b_params())):
         with np.errstate(over="ignore"):
             finite = np.isfinite(morse_potential(params, ends)).all()
@@ -348,6 +356,19 @@ def _validate_cross(config: ExperimentConfig) -> None:
             raise ConfigError(
                 f"{tag}_d_e, {tag}_r_e and {tag}_beta make the Morse curve "
                 f"overflow on the grid [{config.r_min:g}, {config.r_max:g}] angstrom"
+            )
+        # Closed-form ground level E0 = omega_e/2 - omega_e x_e/4: if even
+        # its momentum outruns the finest grid, no n_points can help.
+        w = harmonic_wavenumber(params, config.reduced_mass)
+        e0 = w / 2.0 - anharmonicity(params, config.reduced_mass) / 4.0
+        with np.errstate(invalid="ignore"):  # E0 < 0: the curve binds nothing
+            k0 = np.sqrt(2.0 * config.reduced_mass * e0 / HBARSQ_CM1_AMU_ANG2)
+        if k0 > k_finest:
+            raise ConfigError(
+                f"{tag}_d_e, {tag}_beta and reduced_mass make the Morse well too "
+                f"steep for any grid: its ground level's momentum {k0:.4g} /angstrom "
+                f"exceeds pi/dx = {k_finest:.4g} /angstrom even at n_points = "
+                f"{_MAX_GRID_POINTS}"
             )
     for key in ("n_x_states", "n_b_states"):
         if getattr(config, key) > config.n_points:

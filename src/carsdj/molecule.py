@@ -113,8 +113,8 @@ def _solve_curve(
     if k_top > math.pi / grid.spacing:
         raise ValueError(
             f"grid of n_points = {grid.n_points} too coarse for {label} level "
-            f"{sol.n_bound - 1}: its momentum {k_top:.1f} /angstrom exceeds "
-            f"pi/dx = {math.pi / grid.spacing:.1f} /angstrom"
+            f"{sol.n_bound - 1}: its momentum {k_top:.4g} /angstrom exceeds "
+            f"pi/dx = {math.pi / grid.spacing:.4g} /angstrom"
         )
     inner, outer = turning_points(params, top)
     if (inner - grid.r_min) < _TURNING_MARGIN_ANG or (

@@ -9,6 +9,7 @@ import time
 from dataclasses import replace
 
 import numpy as np
+from scipy.special import eval_genlaguerre, gammaln
 
 from carsdj.algorithm import (
     PERIOD_LEVEL,
@@ -21,6 +22,7 @@ from carsdj.algorithm import (
     pearson_r,
     sweep_delay,
 )
+from carsdj.constants import HBARSQ_CM1_AMU_ANG2
 from carsdj.dynamics import (
     apply_stokes,
     cars_spectrum,
@@ -30,6 +32,7 @@ from carsdj.dynamics import (
     time_domain_oracle,
 )
 from carsdj.molecule import (
+    DEFAULT_GRID,
     IODINE_B,
     IODINE_REDUCED_MASS,
     IODINE_X,
@@ -269,4 +272,57 @@ def test_criterion_9_complement_symmetry_and_scale_invariance(model):
         ok,
         f"complement equality {'exact' if symmetric else 'broken'}, "
         f"|dD| {d_shift:.1e}, |dr| {r_shift:.1e}",
+    )
+
+
+def _morse_eigenfunctions(params, reduced_mass, r, n_levels):
+    """Closed-form Morse states psi_v(r), v < n_levels (Dahl & Springborg 1988).
+
+    psi_v = N_v z^(lam-v-1/2) e^(-z/2) L_v^(2lam-2v-1)(z) with
+    z = 2 lam e^(-beta (r - r_e)) and N_v^2 = beta v! (2lam-2v-1) / Gamma(2lam-v),
+    evaluated in log space so that no factor overflows.
+    """
+    lam = np.sqrt(2.0 * reduced_mass * params.d_e / HBARSQ_CM1_AMU_ANG2) / params.beta
+    z = 2.0 * lam * np.exp(-params.beta * (r - params.r_e))
+    v = np.arange(n_levels)[:, None]
+    alpha = 2.0 * lam - 2.0 * v - 1.0
+    log_norm = 0.5 * (
+        np.log(params.beta) + gammaln(v + 1.0) + np.log(alpha) - gammaln(2.0 * lam - v)
+    )
+    laguerre = eval_genlaguerre(v, alpha, z)
+    with np.errstate(divide="ignore"):
+        log_abs = (
+            log_norm + (lam - v - 0.5) * np.log(z) - 0.5 * z + np.log(np.abs(laguerre))
+        )
+    return np.sign(laguerre) * np.exp(log_abs)
+
+
+def test_criterion_10_states_and_overlaps_match_closed_form_morse(model):
+    r = DEFAULT_GRID.points()
+    infidelity = {}
+    sampled = {}
+    for tag, states, params in (
+        ("X", model.x_states, IODINE_X),
+        ("B", model.b_states, IODINE_B),
+    ):
+        # Grid coefficients of a sinc-DVR state are sqrt(dx) * psi(r_i).
+        psi = np.sqrt(DEFAULT_GRID.spacing) * _morse_eigenfunctions(
+            params, IODINE_REDUCED_MASS, r, states.n_bound
+        )
+        overlap = np.sum(states.wavefunctions * psi, axis=1)
+        infidelity[tag] = float(np.max(1.0 - np.abs(overlap)))
+        sampled[tag] = psi * np.sign(overlap)[:, None]
+    fc_error = float(np.abs(model.fc - sampled["B"] @ sampled["X"].T).max())
+    ok = (
+        model.n_x == model.n_b == 40
+        and max(infidelity.values()) < 1e-10
+        and fc_error < 1e-10
+    )
+    _report(
+        10,
+        "all 40 X and 40 B states match the closed-form Morse eigenfunctions "
+        "sampled on the grid, and the FC matrix their overlaps, to 1e-10",
+        ok,
+        f"max 1 - |<DVR|Morse>| X {infidelity['X']:.1e}, B {infidelity['B']:.1e}; "
+        f"max |dFC| {fc_error:.1e}",
     )

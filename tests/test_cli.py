@@ -337,13 +337,19 @@ def test_delays_that_overflow_exit_with_code_one(tmp_path, capsys, text, command
         ("n_points = 100\n", "n_points = 100 too coarse"),
         ("n_points = 200\n", "n_points = 200 too coarse"),
         ("r_max = 4.0\n", "grid [2.0, 4.0] angstrom too small"),
+        ("x_d_e = 1e300\n", "x_d_e, x_beta and reduced_mass make the Morse well"),
+        ("b_d_e = 1e300\n", "b_d_e, b_beta and reduced_mass make the Morse well"),
+        ("reduced_mass = 1e300\n", "x_d_e, x_beta and reduced_mass make the"),
     ],
 )
 def test_grid_problems_name_their_cause(tmp_path, capsys, text, message):
     config = tmp_path / "run.conf"
     config.write_text(text)
     assert main(["eigen", "--config", str(config), "--out", str(tmp_path)]) == 1
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    # numbers are shown to four significant digits, never in full
+    assert len(err) < 200
 
 
 @pytest.mark.parametrize(

@@ -2,9 +2,40 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from carsdj.constants import HBARSQ_CM1_AMU_ANG2
-from carsdj.dvr import Grid, build_hamiltonian, kinetic_matrix, solve_bound_states
+from carsdj.dvr import (
+    Grid,
+    _fix_signs,
+    build_hamiltonian,
+    kinetic_matrix,
+    solve_bound_states,
+)
+from carsdj.molecule import DEFAULT_GRID, IODINE_B, IODINE_REDUCED_MASS, IODINE_X
+from carsdj.morse import morse_potential
+
+
+def _dense_kinetic_matrix(grid, reduced_mass):
+    """Reference: every entry from the full matrix of index offsets."""
+    coeff = HBARSQ_CM1_AMU_ANG2 / (2.0 * reduced_mass * grid.spacing**2)
+    idx = np.arange(grid.n_points)
+    diff = idx[:, None] - idx[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = 2.0 * np.where(diff % 2 == 0, 1.0, -1.0) / (diff.astype(float) ** 2)
+    np.fill_diagonal(t, np.pi**2 / 3.0)
+    return coeff * t
+
+
+def _row_loop_fix_signs(vectors):
+    """Reference: the sign convention applied one row at a time."""
+    out = vectors.copy()
+    for row in out:
+        thresh = 1e-4 * np.max(np.abs(row))
+        first = np.flatnonzero(np.abs(row) > thresh)[0]
+        if row[first] < 0.0:
+            row *= -1.0
+    return out
 
 
 def test_grid_rejects_empty_interval_and_too_few_points():
@@ -53,6 +84,46 @@ def test_kinetic_matrix_reproduces_plane_wave_curvature():
     expect = (HBARSQ_CM1_AMU_ANG2 / 2.0) * k * k * psi
     err = np.abs((t @ psi)[300:724] - expect[300:724]).max() / np.abs(expect).max()
     assert err < 1e-4
+
+
+@pytest.mark.parametrize("n_points", [16, 17, 33, 512, 513])
+@pytest.mark.parametrize("reduced_mass", [IODINE_REDUCED_MASS, 1.0])
+@pytest.mark.parametrize("bounds", [(2.0, 6.5), (-4.0, 4.3)])
+def test_kinetic_matrix_is_bit_identical_to_the_dense_construction(
+    n_points, reduced_mass, bounds
+):
+    g = Grid(*bounds, n_points)
+    fast = kinetic_matrix(g, reduced_mass)
+    assert fast.dtype == np.float64 and fast.flags.writeable
+    assert fast.tobytes() == _dense_kinetic_matrix(g, reduced_mass).tobytes()
+
+
+def test_sign_fix_is_bit_identical_to_the_row_loop_on_the_default_states():
+    for params in (IODINE_X, IODINE_B):
+        h = build_hamiltonian(
+            DEFAULT_GRID, lambda r: morse_potential(params, r), IODINE_REDUCED_MASS
+        )
+        _, vectors = scipy.linalg.eigh(h, subset_by_index=[0, 39])
+        for rows in (vectors.T, -vectors.T):
+            assert _fix_signs(rows).tobytes() == _row_loop_fix_signs(rows).tobytes()
+
+
+def test_sign_fix_is_bit_identical_to_the_row_loop_on_random_rows():
+    rng = np.random.default_rng(8)
+    rows = rng.standard_normal((200, 24))
+    for row in rows:
+        # Leading entries below the 1e-4 threshold of either sign, exact
+        # zeros of either sign, then a first significant entry of
+        # random sign.
+        lead = rng.integers(0, 8)
+        row[:lead] = rng.choice([-1e-6, 1e-6, 0.0, -0.0], size=lead)
+        row[rng.integers(0, 24, size=3)] = rng.choice([0.0, -0.0], size=3)
+        row[lead] = rng.choice([-2.0, 2.0])
+    expect = _row_loop_fix_signs(rows)
+    assert _fix_signs(rows).tobytes() == expect.tobytes()
+    zeros = expect == 0.0
+    assert np.signbit(expect[zeros]).any() and (~np.signbit(expect[zeros])).any()
+    assert (rows[:, 0] < 0.0).any() and (rows[:, 0] > 0.0).any()
 
 
 def test_hamiltonian_adds_potential_on_the_diagonal():
