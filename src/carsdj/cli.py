@@ -427,12 +427,14 @@ def parse_config(text: str) -> ExperimentConfig:
 # Output formatting
 
 def _fmt(value) -> str:
+    # Floats are nearly every cell, so they are tested first; no bool or
+    # integer type is a float subclass.
+    if isinstance(value, (float, np.floating)):
+        return f"{float(value):.12g}"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.12g}"
     return str(value)
 
 

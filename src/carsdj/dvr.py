@@ -79,15 +79,28 @@ class EigenSolution:
 
 
 def kinetic_matrix(grid: Grid, reduced_mass: float) -> np.ndarray:
-    """Sinc-DVR kinetic energy matrix in cm^-1."""
+    """Sinc-DVR kinetic energy matrix in cm^-1.
+
+    Raises ValueError unless the mass is positive and every entry is
+    finite.
+    """
     if reduced_mass <= 0.0:
         raise ValueError(f"reduced mass must be positive, got {reduced_mass}")
-    coeff = HBARSQ_CM1_AMU_ANG2 / (2.0 * reduced_mass * grid.spacing**2)
     offset = np.arange(grid.n_points)
     with np.errstate(divide="ignore"):
         row = 2.0 * np.where(offset % 2 == 0, 1.0, -1.0) / (offset.astype(float) ** 2)
     row[0] = np.pi**2 / 3.0
-    return scipy.linalg.toeplitz(coeff * row)
+    # A tiny mass underflows the denominator to 0 or overflows the entries.
+    denominator = 2.0 * reduced_mass * grid.spacing**2
+    with np.errstate(divide="ignore", over="ignore"):
+        row = np.float64(HBARSQ_CM1_AMU_ANG2) / denominator * row
+    if not np.isfinite(row).all():
+        raise ValueError(
+            f"reduced_mass = {reduced_mass:.4g} amu and a grid spacing of "
+            f"{grid.spacing:.4g} angstrom make the kinetic energy matrix "
+            f"non-finite"
+        )
+    return scipy.linalg.toeplitz(row)
 
 
 def build_hamiltonian(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -88,14 +88,26 @@ def _solve_curve(
     grid: Grid,
     reduced_mass: float,
     n_requested: int,
-    label: str,
+    tag: str,
 ) -> EigenSolution:
+    """Retained states of one curve; ``tag`` is "x" (lower) or "b" (upper),
+    the prefix of the curve's parameters in error messages."""
+    label = "lower" if tag == "x" else "upper"
     h = build_hamiltonian(grid, lambda r: morse_potential(params, r), reduced_mass)
     sol = solve_bound_states(h, n_requested)
+    energies = sol.energies
+    # Every level of a well-relative Hamiltonian is positive; a level that
+    # is not means the curve spans more orders of magnitude on the grid
+    # than the eigensolver resolves.
+    if not (np.isfinite(energies).all() and energies[0] > 0.0):
+        raise ValueError(
+            f"{tag}_d_e = {params.d_e:.4g} and {tag}_beta = {params.beta:.4g} make "
+            f"the {label} Morse well too steep to solve on this grid: its lowest "
+            f"level came out at {energies[0]:.4g} cm^-1"
+        )
     # Bound-state cutoff: keep levels below the dissociation limit by at
     # least one local level spacing, so near-threshold grid artefacts are
     # never retained.
-    energies = sol.energies
     keep = sol.n_bound
     while keep > 1:
         spacing = energies[keep - 1] - energies[keep - 2]
@@ -120,9 +132,17 @@ def _solve_curve(
     if (inner - grid.r_min) < _TURNING_MARGIN_ANG or (
         grid.r_max - outer
     ) < _TURNING_MARGIN_ANG:
+        # inner > r_e - ln 2 / beta, so only r_e and beta can put it below
+        # r = 0, outside any grid that starts above 0.
+        if inner <= 0.0 < grid.r_min:
+            raise ValueError(
+                f"{tag}_r_e = {params.r_e:.4g} and {tag}_beta = {params.beta:.4g} put "
+                f"the inner turning point of {label} level {sol.n_bound - 1} at "
+                f"{inner:.4g} angstrom, below r = 0, outside the grid"
+            )
         raise ValueError(
             f"grid [{grid.r_min}, {grid.r_max}] angstrom too small for {label} "
-            f"level {sol.n_bound - 1}: turning points ({inner:.3f}, {outer:.3f}) "
+            f"level {sol.n_bound - 1}: turning points ({inner:.4g}, {outer:.4g}) "
             f"need {_TURNING_MARGIN_ANG} angstrom clearance"
         )
     return sol
@@ -141,10 +161,34 @@ def build_model(
     ``n_x`` and ``n_b`` are upper bounds; levels failing the bound-state
     cutoff are dropped.  Raises if the grid cannot contain the turning
     points of every retained state with a safe margin.
+
+    The last model built is cached per process, keyed by the six
+    arguments however they are passed, so a repeated build returns the
+    same object.  Every array of the model is read-only; failed builds
+    are not cached.
     """
-    x_sol = _solve_curve(x_params, grid, reduced_mass, n_x, "lower")
-    b_sol = _solve_curve(b_params, grid, reduced_mass, n_b, "upper")
+    return _cached_model(x_params, b_params, reduced_mass, grid, n_x, n_b)
+
+
+# One model: every caller that repeats a build (CLI subcommands run in one
+# process) repeats the last one, and older models would only stay alive.
+@lru_cache(maxsize=1)
+def _cached_model(
+    x_params: MorseParams,
+    b_params: MorseParams,
+    reduced_mass: float,
+    grid: Grid,
+    n_x: int,
+    n_b: int,
+) -> VibronicModel:
+    x_sol = _solve_curve(x_params, grid, reduced_mass, n_x, "x")
+    b_sol = _solve_curve(b_params, grid, reduced_mass, n_b, "b")
     fc = b_sol.wavefunctions @ x_sol.wavefunctions.T
+    # A cached model is shared by every caller, so none may write to it.
+    for sol in (x_sol, b_sol):
+        sol.energies.flags.writeable = False
+        sol.wavefunctions.flags.writeable = False
+    fc.flags.writeable = False
     return VibronicModel(
         x_states=x_sol,
         b_states=b_sol,

@@ -340,6 +340,14 @@ def test_delays_that_overflow_exit_with_code_one(tmp_path, capsys, text, command
         ("x_d_e = 1e300\n", "x_d_e, x_beta and reduced_mass make the Morse well"),
         ("b_d_e = 1e300\n", "b_d_e, b_beta and reduced_mass make the Morse well"),
         ("reduced_mass = 1e300\n", "x_d_e, x_beta and reduced_mass make the"),
+        ("reduced_mass = 1e-320\n", "error: reduced_mass = 1e-320 amu and a grid"),
+        ("reduced_mass = 5e-324\n", "error: reduced_mass = 4.941e-324 amu and a"),
+        ("reduced_mass = 2e-303\n", "error: reduced_mass = 2e-303 amu and a grid"),
+        ("x_beta = 300\n", "x_d_e = 1.255e+04 and x_beta = 300 make the lower"),
+        ("b_beta = 300\n", "b_d_e = 4500 and b_beta = 300 make the upper"),
+        ("x_beta = 1e-300\n", "x_r_e = 2.666 and x_beta = 1e-300 put the inner"),
+        ("b_beta = 1e-300\n", "b_r_e = 3.016 and b_beta = 1e-300 put the inner"),
+        ("x_r_e = 1e-300\n", "x_r_e = 1e-300 and x_beta = 1.858 put the inner"),
     ],
 )
 def test_grid_problems_name_their_cause(tmp_path, capsys, text, message):

@@ -68,6 +68,12 @@ def test_kinetic_matrix_structure():
     assert t[3, 7] == pytest.approx(t[10, 14], rel=1e-14)
 
 
+@pytest.mark.parametrize("reduced_mass", [2e-303, 1e-320, 5e-324])
+def test_kinetic_matrix_rejects_non_finite_entries(reduced_mass):
+    with pytest.raises(ValueError, match="reduced_mass = .* non-finite"):
+        kinetic_matrix(DEFAULT_GRID, reduced_mass)
+
+
 def test_kinetic_matrix_scales_inversely_with_mass():
     g = Grid(r_min=0.0, r_max=2.0, n_points=17)
     np.testing.assert_allclose(

@@ -6,12 +6,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from carsdj.cli import ExperimentConfig
 from carsdj.constants import HBARSQ_CM1_AMU_ANG2
 from carsdj.dvr import Grid, build_hamiltonian, solve_bound_states
 from carsdj.molecule import (
+    DEFAULT_GRID,
     IODINE_B,
     IODINE_REDUCED_MASS,
     IODINE_X,
+    _cached_model,
     build_model,
     fc_window_score,
     transition_wavenumber,
@@ -159,3 +162,77 @@ def test_equalized_overlaps_validation(model):
 def test_build_model_rejects_grids_that_clip_the_wavefunctions():
     with pytest.raises(ValueError):
         build_model(grid=Grid(2.4, 3.2, 64))
+
+
+@pytest.mark.parametrize("r_min", [0.0, -1.0])
+def test_a_grid_reaching_r_0_is_blamed_for_a_wide_well(r_min):
+    # The inner turning point is below 0, but so is the grid's start: the
+    # clearance that fails is the grid's, not one r_e or beta forces.
+    wide = replace(IODINE_X, beta=1e-300)
+    with pytest.raises(ValueError, match=r"too small .* points \(-\d\.\d+e\+298, "):
+        build_model(x_params=wide, grid=Grid(r_min, 6.5, 512))
+
+
+def _model_arrays(model):
+    return (
+        model.fc,
+        model.x_states.energies,
+        model.x_states.wavefunctions,
+        model.b_states.energies,
+        model.b_states.wavefunctions,
+    )
+
+
+def test_a_cache_hit_equals_an_uncached_build_bit_for_bit():
+    hit = build_model()
+    assert build_model() is hit
+    uncached = _cached_model.__wrapped__(
+        IODINE_X, IODINE_B, IODINE_REDUCED_MASS, DEFAULT_GRID, 40, 40
+    )
+    for cached, fresh in zip(_model_arrays(hit), _model_arrays(uncached)):
+        assert cached.tobytes() == fresh.tobytes()
+
+
+def test_keyword_and_positional_builds_share_one_entry():
+    _cached_model.cache_clear()
+    default = build_model()
+    assert ExperimentConfig().build() is default
+    assert build_model(IODINE_X, IODINE_B, IODINE_REDUCED_MASS, DEFAULT_GRID) is default
+    info = _cached_model.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+
+
+@pytest.mark.parametrize(
+    "changed",
+    [
+        {"grid": Grid(2.0, 6.5, 480)},
+        {"x_params": replace(IODINE_X, d_e=12551.0)},
+        {"b_params": replace(IODINE_B, beta=1.851)},
+        {"n_x": 39},
+        {"n_b": 39},
+    ],
+    ids=["grid", "x_d_e", "b_beta", "n_x", "n_b"],
+)
+def test_a_changed_argument_misses_the_cache(changed):
+    default = build_model()
+    misses = _cached_model.cache_info().misses
+    other = build_model(**changed)
+    assert other is not default
+    assert _cached_model.cache_info().misses == misses + 1
+
+
+def test_every_array_of_a_built_model_is_read_only(model):
+    for array in _model_arrays(model) + (model.nu,):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+def test_a_failing_build_is_not_cached():
+    bad = Grid(2.4, 3.2, 64)
+    before = _cached_model.cache_info()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="too small"):
+            build_model(grid=bad)
+    after = _cached_model.cache_info()
+    assert after.misses == before.misses + 2
+    assert after.currsize == before.currsize
