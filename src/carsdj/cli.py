@@ -426,16 +426,27 @@ def parse_config(text: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # Output formatting
 
+def _column(values) -> tuple[str, list]:
+    """The %-conversion of a column of cells and the cells as Python values.
+
+    Floats are written to 12 significant digits, integers in full, bools
+    as true/false and anything else as its str().
+    """
+    array = np.asarray(values)
+    cells = array.tolist()
+    kind = array.dtype.kind
+    if kind == "f":
+        return "%.12g", cells
+    if kind == "b":
+        return "%s", ["true" if cell else "false" for cell in cells]
+    if kind in "iu":
+        return "%d", cells
+    return "%s", cells
+
+
 def _fmt(value) -> str:
-    # Floats are nearly every cell, so they are tested first; no bool or
-    # integer type is a float subclass.
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.12g}"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
+    conversion, (cell,) = _column([value])
+    return conversion % cell
 
 
 def _config_lines(config: ExperimentConfig) -> list[str]:
@@ -458,17 +469,20 @@ def _write_csv(
     path: Path,
     config: ExperimentConfig,
     command: str,
-    columns: tuple[str, ...],
-    rows: list[tuple],
+    columns: dict[str, object],
     extra: tuple[tuple[str, object], ...] = (),
 ) -> None:
+    """Write the header, then one line per row of the named, equally long
+    columns (arrays or lists), every line from one %-template."""
     lines = [f"# command={command}"]
     lines.extend(_config_lines(config))
     for name, value in extra:
         lines.append(f"# {name}={_fmt(value)}")
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(cell) for cell in row))
+    conversions, cells = zip(*map(_column, columns.values()))
+    template = ",".join(conversions)
+    rows = [template % row for row in zip(*cells, strict=True)]
+    lines.extend(rows)
     with open(path, "w", newline="") as handle:
         handle.write("\n".join(lines) + "\n")
     print(f"wrote {path} ({len(rows)} rows)")
@@ -501,47 +515,43 @@ def _cmd_eigen(config: ExperimentConfig, out: Path, args) -> None:
         ("b", config.b_params(), model.b_states),
     )
     for tag, params, solution in surfaces:
-        count = len(solution.energies)
-        analytic = morse_analytic_levels(params, config.reduced_mass, count)
-        rows = [
-            (
-                i,
-                solution.energies[i],
-                analytic[i],
-                solution.energies[i] - analytic[i],
-            )
-            for i in range(count)
-        ]
+        energies = solution.energies
+        index = np.arange(len(energies))
+        analytic = morse_analytic_levels(params, config.reduced_mass, len(energies))
         _write_csv(
             out / f"eigen_{tag}.csv",
             config,
             "eigen",
-            ("index", "energy_cm1", "analytic_cm1", "delta_cm1"),
-            rows,
+            {
+                "index": index,
+                "energy_cm1": energies,
+                "analytic_cm1": analytic,
+                "delta_cm1": energies - analytic,
+            },
         )
         if config.dump_wavefunctions:
-            n_grid = solution.wavefunctions.shape[1]
-            columns = ("index", "energy_cm1") + tuple(
-                f"c{j}" for j in range(n_grid)
-            )
-            wf_rows = [
-                (i, solution.energies[i], *solution.wavefunctions[i])
-                for i in range(count)
-            ]
+            coefficients = {
+                f"c{j}": column for j, column in enumerate(solution.wavefunctions.T)
+            }
             _write_csv(
-                out / f"wavefunctions_{tag}.csv", config, "eigen", columns, wf_rows
+                out / f"wavefunctions_{tag}.csv",
+                config,
+                "eigen",
+                {"index": index, "energy_cm1": energies, **coefficients},
             )
 
 
 def _cmd_fc(config: ExperimentConfig, out: Path, args) -> None:
     """overlap matrix and transition table"""
     model = config.prepared_model()
-    rows = [
-        (w, v, model.fc[w, v], model.nu[w, v])
-        for w in range(model.n_b)
-        for v in range(model.n_x)
-    ]
-    _write_csv(out / "fc.csv", config, "fc", ("w", "v", "fc", "nu_cm1"), rows)
+    w, v = np.indices(model.fc.shape)
+    columns = {"w": w, "v": v, "fc": model.fc, "nu_cm1": model.nu}
+    _write_csv(
+        out / "fc.csv",
+        config,
+        "fc",
+        {name: values.ravel() for name, values in columns.items()},
+    )
 
 
 def _spectrum_grid(pulse: PulseSpec) -> np.ndarray:
@@ -562,8 +572,8 @@ def _dump_spectrum(
 ) -> None:
     nu = _spectrum_grid(pulse)
     amp = spectral_amplitude(pulse, nu)
-    rows = [(nu[i], amp[i].real, amp[i].imag) for i in range(len(nu))]
-    _write_csv(path, config, "pulses", ("nu_cm1", "re_amp", "im_amp"), rows, extra)
+    columns = {"nu_cm1": nu, "re_amp": amp.real, "im_amp": amp.imag}
+    _write_csv(path, config, "pulses", columns, extra)
 
 
 def _delay_model(
@@ -575,9 +585,24 @@ def _delay_model(
     transition's evolution phase finite."""
     top = max(PERIOD_LEVEL + 1, *(w_hi for _, w_hi in windows))
     model = config.build(top, config.v_target)
+    for window in windows:
+        _check_lines(config, model, window, config.v_target)
     tau_b = vibrational_period(model, "B", PERIOD_LEVEL)
     _check_phase(config, key, tau_b, model.nu.max())
     return model, tau_b
+
+
+def _check_lines(
+    config: ExperimentConfig, model: VibronicModel, window: tuple[int, int], v: int
+) -> None:
+    """ConfigError unless the lines nu(w, v) of the window ascend: pulse
+    design bins them, and a huge electronic offset rounds them together."""
+    w_lo, w_hi = window
+    if not (np.diff(model.nu[w_lo : w_hi + 1, v]) > 0.0).all():
+        raise ConfigError(
+            f"b_t_e = {config.b_t_e:.4g} cm^-1 swamps upper levels {w_lo}-{w_hi}: "
+            "their transition wavenumbers do not ascend in floating point"
+        )
 
 
 def _check_phase(config: ExperimentConfig, key: str, tau_b: float, nu: float) -> None:
@@ -630,15 +655,11 @@ def _cmd_sweep(config: ExperimentConfig, out: Path, args) -> None:
     multiples = np.linspace(0.0, config.sweep_max_multiple, config.sweep_points)
     for f in masks:
         trace = sweep_delay(model, f, multiples, options)
-        rows = [
-            (trace[i, 0], multiples[i], trace[i, 1]) for i in range(len(multiples))
-        ]
         _write_csv(
             out / f"sweep_{f.as_string}.csv",
             config,
             "sweep",
-            ("tau_fs", "tau_multiple", "A"),
-            rows,
+            {"tau_fs": trace[:, 0], "tau_multiple": multiples, "A": trace[:, 1]},
             (("mask", f.as_string), ("class", f.classification), ("tau_b_fs", tau_b)),
         )
 
@@ -649,31 +670,35 @@ def _cmd_table1(config: ExperimentConfig, out: Path, args) -> None:
     windows = (row_options(options, n, t).resolved_window(n) for n, t in TABLE_ROWS)
     model, _ = _delay_model(config, "tau", *windows)
     table = fidelity_table(model, config.tau, options)
-    metric_rows = [
-        (m.n, m.tau_multiple, m.tailored, m.r, m.d, m.r_pct, m.d_pct)
-        for m in table
-    ]
+    metrics = ("n", "tau_multiple", "tailored", "r", "d", "r_pct", "d_pct")
     _write_csv(
         out / "metrics.csv",
         config,
         "table1",
-        ("n", "tau_multiple", "tailored", "r", "d", "r_pct", "d_pct"),
-        metric_rows,
+        {name: [getattr(m, name) for m in table] for name in metrics},
     )
-    for (n, tailored), cells in groupby(table, lambda m: (m.n, m.tailored)):
+    labels = {}
+    for n in {m.n for m in table}:
         functions = enumerate_functions(n)
-        rows = [
-            (f.index, f.as_string, f.classification, s, o.tau_fs, o.tau_multiple, a)
-            for o in (m.outcomes for m in cells)
-            for f, s, a in zip(functions, o.s_n.tolist(), o.signals.tolist())
-        ]
+        labels[n] = {
+            "mask_index": [f.index for f in functions],
+            "bits": [f.as_string for f in functions],
+            "class": [f.classification for f in functions],
+        }
+    for (n, tailored), cells in groupby(table, lambda m: (m.n, m.tailored)):
+        outcomes = [m.outcomes for m in cells]
         name = f"outcomes_n{n}t.csv" if tailored else f"outcomes_n{n}.csv"
         _write_csv(
             out / name,
             config,
             "table1",
-            ("mask_index", "bits", "class", "s_n", "tau_fs", "tau_multiple", "A"),
-            rows,
+            {
+                **{key: values * len(outcomes) for key, values in labels[n].items()},
+                "s_n": np.concatenate([o.s_n for o in outcomes]),
+                "tau_fs": np.repeat([o.tau_fs for o in outcomes], 2**n),
+                "tau_multiple": np.repeat([o.tau_multiple for o in outcomes], 2**n),
+                "A": np.concatenate([o.signals for o in outcomes]),
+            },
             (("row_n", n), ("row_tailored", tailored)),
         )
     print("n   tailored  tau   r%   D%")
@@ -687,6 +712,7 @@ def _cmd_table1(config: ExperimentConfig, out: Path, args) -> None:
 def _cmd_oracle_check(config: ExperimentConfig, out: Path, args) -> None:
     """frequency- vs time-domain agreement"""
     model = config.build(ORACLE_UPPER_LEVELS[1], ORACLE_TARGET_LEVELS[1])
+    _check_lines(config, model, ORACLE_UPPER_LEVELS, 0)
     rng = np.random.default_rng(config.oracle_seed)
     configs = random_oracle_configs(rng, model, config.oracle_configs)
     rows = []
@@ -714,26 +740,26 @@ def _cmd_oracle_check(config: ExperimentConfig, out: Path, args) -> None:
                 rel_dev,
             )
         )
+    names = (
+        "config_index",
+        "w_lo",
+        "w_hi",
+        "v_target",
+        "pump_fwhm_fs",
+        "stokes_fwhm_fs",
+        "pump_amplitude",
+        "stokes_amplitude",
+        "pump_delay_fs",
+        "tau_fs",
+        "freq_signal",
+        "time_signal",
+        "rel_dev",
+    )
     _write_csv(
         out / "oracle_check.csv",
         config,
         "oracle-check",
-        (
-            "config_index",
-            "w_lo",
-            "w_hi",
-            "v_target",
-            "pump_fwhm_fs",
-            "stokes_fwhm_fs",
-            "pump_amplitude",
-            "stokes_amplitude",
-            "pump_delay_fs",
-            "tau_fs",
-            "freq_signal",
-            "time_signal",
-            "rel_dev",
-        ),
-        rows,
+        dict(zip(names, zip(*rows))),
     )
     print(
         f"max relative deviation = {worst:.3e} over {config.oracle_configs} "

@@ -34,7 +34,7 @@ import numpy as np
 
 from .constants import TWO_PI_C
 from .molecule import VibronicModel, checked_window, transition_wavenumber
-from .pulses import PulseSpec, spectral_amplitude, time_profile
+from .pulses import PulseSpec, _unit_phase, spectral_amplitude, time_profile
 
 # Coarse time grid of ``time_domain_oracle``: trapezoidal step in fs and
 # half-width in field standard deviations.
@@ -110,7 +110,7 @@ def evolution_phase(
     (T, 1), gives the whole (T, len(ws)) grid, element for element the
     same values as one scalar call per delay.
     """
-    return np.exp(-1j * TWO_PI_C * model.nu[ws, 0] * tau)
+    return _unit_phase(-TWO_PI_C * model.nu[ws, 0] * tau)
 
 
 def signal_magnitude(a: np.ndarray, v_target: int) -> float:
@@ -175,14 +175,14 @@ def time_domain_oracle(
         n_pts = max(int(np.ceil(2.0 * half / step)) + 1, 9)
         t_p = pump.delay + np.linspace(-half, half, n_pts)
         field_p = time_profile(pump, t_p)
-        phase_p = np.exp(1j * TWO_PI_C * np.outer(nu_w0, t_p))
+        phase_p = _unit_phase(TWO_PI_C * np.outer(nu_w0, t_p))
         i_pump = np.trapezoid(phase_p * field_p[None, :], t_p, axis=1)
         # Stokes integral conj(I_S(w)) = int conj(E_S(t)) exp(-i ...) dt
         half_s = sigmas * stokes.sigma_t
         n_pts_s = max(int(np.ceil(2.0 * half_s / step)) + 1, 9)
         t_s = stokes.delay + np.linspace(-half_s, half_s, n_pts_s)
         field_s = np.conj(time_profile(stokes, t_s))
-        phase_s = np.exp(-1j * TWO_PI_C * np.outer(nu_wv, t_s))
+        phase_s = _unit_phase(-TWO_PI_C * np.outer(nu_wv, t_s))
         i_stokes = np.trapezoid(phase_s * field_s[None, :], t_s, axis=1)
         fc_prod = model.fc[ws, v_target] * model.fc[ws, 0]
         return complex(-np.sum(fc_prod * i_stokes * i_pump))

@@ -115,7 +115,11 @@ def _solve_curve(
             break
         keep -= 1
     if keep < 1 or energies[0] >= params.d_e:
-        raise ValueError(f"{label} curve binds no retainable state on this grid")
+        raise ValueError(
+            f"{tag}_d_e = {params.d_e:.4g}, {tag}_beta = {params.beta:.4g} and "
+            f"reduced_mass = {reduced_mass:.4g} bind no {label} level on this grid: "
+            f"its lowest level, {energies[0]:.4g} cm^-1, is not below {tag}_d_e"
+        )
     if keep < sol.n_bound:
         sol = EigenSolution(energies[:keep], sol.wavefunctions[:keep])
     top = sol.energies[-1]

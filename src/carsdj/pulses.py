@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 from .constants import C_CM_PER_FS, SIGMA_TO_FWHM, TWO_PI_C
 from .molecule import VibronicModel, checked_window, transition_wavenumber
@@ -126,6 +125,20 @@ class PulseSpec:
         return 2.0 * math.log(2.0) / (math.pi * C_CM_PER_FS * self.duration_fwhm)
 
 
+def _unit_phase(theta: np.ndarray) -> np.ndarray:
+    """exp(i theta) filled from cos(theta) and sin(theta).
+
+    Bit for bit the same as ``np.exp(1j * theta)``, without building the
+    complex angle or taking a complex exponential.  The complex product
+    ``1j * theta`` turns a -0.0 angle into +0.0, and so does adding 0.0 to
+    the sine.
+    """
+    out = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=out.real)
+    np.add(np.sin(theta), 0.0, out=out.imag)
+    return out
+
+
 def spectral_amplitude(pulse: PulseSpec, nu: np.ndarray | float) -> np.ndarray:
     """Complex spectral amplitude at wavenumber(s) ``nu``.
 
@@ -142,7 +155,7 @@ def spectral_amplitude(pulse: PulseSpec, nu: np.ndarray | float) -> np.ndarray:
     if pulse.mask is not None:
         out *= pulse.mask.factor(nu_arr)
     if pulse.delay != 0.0:
-        out *= np.exp(1j * TWO_PI_C * nu_arr * pulse.delay)
+        out *= _unit_phase(TWO_PI_C * nu_arr * pulse.delay)
     return out
 
 
@@ -163,10 +176,12 @@ def time_profile(pulse: PulseSpec, t: np.ndarray | float) -> np.ndarray:
         pulse.amplitude
         / (sigma * math.sqrt(2.0 * math.pi))
         * np.exp(-0.5 * (s / sigma) ** 2)
-        * np.exp(-1j * omega0 * s)
+        * _unit_phase(-omega0 * s)
     )
     if pulse.mask is None:
         return prefactor
+    import scipy.special  # only masked pulses need it, and it is slow to import
+
     mask = pulse.mask
     # Gaussian times a top-hat bin [a, b] transforms to the difference of
     # two complex error functions; sum the deviation of each bin factor

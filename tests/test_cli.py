@@ -190,6 +190,43 @@ def test_flat_pulses_have_constant_magnitude(tmp_path):
     np.testing.assert_allclose(np.abs(amps), 1.0, rtol=1e-11)
 
 
+def _per_cell_fmt(value) -> str:
+    # the per-cell formatter the column writer replaced, kept as its reference
+    if isinstance(value, (float, np.floating)):
+        return f"{float(value):.12g}"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return str(value)
+
+
+def test_column_writer_equals_the_per_cell_join(tmp_path):
+    rng = np.random.default_rng(5)
+    count = 2000
+    floats = rng.standard_normal(count) * 10.0 ** rng.integers(-310, 308, count)
+    floats[:9] = [np.inf, -np.inf, np.nan, -0.0, 0.0, 1e300, -1e-300, 5e-324, 1e12 + 1]
+    ints = rng.integers(-(10**15), 10**15, count)
+    ints[:4] = [0, -1, 10**12 + 1, 2**62]
+    columns = {
+        "float": floats,
+        "int": ints,
+        "bool": (rng.random(count) < 0.5).tolist(),
+        "str": ["".join(rng.choice(list("01ab"), 4)) for _ in range(count)],
+        "float_list": rng.uniform(-1e13, 1e13, count).tolist(),
+        "int_list": rng.integers(10**12, 10**17, count).tolist(),
+    }
+    path = tmp_path / "cells.csv"
+    cli._write_csv(path, parse_config(""), "test", columns)
+    header, rows = _read_csv(path)
+    assert header == list(columns)
+    cells = list(zip(*columns.values()))
+    reference = [",".join(_per_cell_fmt(cell) for cell in row) for row in cells]
+    assert [",".join(row) for row in rows] == reference
+    # the header's formatter follows the same rule
+    assert [",".join(cli._fmt(cell) for cell in row) for row in cells] == reference
+
+
 def test_sweep_default_masks_and_reproducible_bytes(tmp_path):
     config = tmp_path / "run.conf"
     config.write_text("n = 2\nsweep_points = 21\n")
@@ -348,6 +385,9 @@ def test_delays_that_overflow_exit_with_code_one(tmp_path, capsys, text, command
         ("x_beta = 1e-300\n", "x_r_e = 2.666 and x_beta = 1e-300 put the inner"),
         ("b_beta = 1e-300\n", "b_r_e = 3.016 and b_beta = 1e-300 put the inner"),
         ("x_r_e = 1e-300\n", "x_r_e = 1e-300 and x_beta = 1.858 put the inner"),
+        ("reduced_mass = 1e-300\n", "x_beta = 1.858 and reduced_mass = 1e-300 bind no"),
+        ("x_d_e = 1e-300\n", "x_d_e = 1e-300, x_beta = 1.858 and reduced_mass = 63.45"),
+        ("b_d_e = 1e-300\n", "b_d_e = 1e-300, b_beta = 1.85 and reduced_mass = 63.45"),
     ],
 )
 def test_grid_problems_name_their_cause(tmp_path, capsys, text, message):
@@ -377,6 +417,28 @@ def test_morse_curves_that_overflow_name_their_keys(tmp_path, capsys, text, comm
     assert f"error: {tag}_d_e, {tag}_r_e and {tag}_beta" in err
     assert "grid [2, 6.5] angstrom" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    ("text", "command", "message"),
+    [
+        ("b_t_e = 1e308\n", "pulses", "b_t_e = 1e+308 cm^-1 swamps upper levels 20-23"),
+        ("b_t_e = 1e308\n", "oracle-check", "b_t_e = 1e+308 cm^-1 swamps upper levels 16-30"),
+        ("b_t_e = 1e20\n", "sweep", "b_t_e = 1e+20 cm^-1 swamps upper levels 20-23"),
+        ("b_t_e = 1e20\n", "table1", "b_t_e = 1e+20 cm^-1 swamps upper levels 20-23"),
+    ],
+)
+def test_an_electronic_offset_that_merges_the_lines_names_b_t_e(
+    tmp_path, capsys, text, command, message
+):
+    # 1e308 used to overflow the pump's mean line, 1e20 to blame the mask bins
+    config = tmp_path / "run.conf"
+    config.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err and len(err) < 200
+    assert list(out.iterdir()) == []
 
 
 def test_out_flag_overrides_the_config_directory(tmp_path):
@@ -416,38 +478,40 @@ def test_numerical_failures_exit_with_code_two(tmp_path, monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-# Runs every subcommand with the default configuration, each in its own
-# directory, as the cli-suite benchmark workload does (sweep with all 16
-# n = 4 masks).
-_DEFAULT_RUN = """
-import os, sys
+# Runs each subcommand of a {name: (argv, config text)} JSON argument in
+# its own directory, writing to the default relative out_dir, so that the
+# echoed configuration is the same wherever the test runs.
+_CLI_RUNS = """
+import json, os, sys
 from carsdj.cli import main
-masks = ",".join(format(i, "04b")[::-1] for i in range(16))
-for command in ("eigen", "fc", "pulses", "sweep", "table1", "oracle-check"):
-    os.mkdir(command)
-    os.chdir(command)
-    if main([command] + (["--mask", masks] if command == "sweep" else [])) != 0:
-        sys.exit(f"{command} failed")
+for name, (argv, text) in json.loads(sys.argv[1]).items():
+    os.mkdir(name)
+    os.chdir(name)
+    with open("run.conf", "w") as handle:
+        handle.write(text)
+    if main(argv + ["--config", "run.conf"]) != 0:
+        sys.exit(f"{name} failed")
     os.chdir("..")
 """
 
+_ROOT = Path(__file__).resolve().parents[1]
 
-def test_default_csvs_match_the_golden_hashes(tmp_path):
+
+def _cli_hashes(tmp_path, runs):
+    """sha256 of every CSV each run writes, keyed by run name and file name."""
     # The goldens hold with BLAS on one thread; other thread counts move the
-    # eigensolver's last digits, so the run needs its own process.
-    root = Path(__file__).resolve().parents[1]
-    goldens = json.loads((root / "perfbench" / "goldens.json").read_text())
+    # eigensolver's last digits, so the runs need their own process.
     env = dict(
         os.environ,
         OPENBLAS_NUM_THREADS="1",
         OMP_NUM_THREADS="1",
         MKL_NUM_THREADS="1",
         PYTHONPATH=os.pathsep.join(
-            filter(None, (str(root / "src"), os.environ.get("PYTHONPATH")))
+            filter(None, (str(_ROOT / "src"), os.environ.get("PYTHONPATH")))
         ),
     )
     run = subprocess.run(
-        [sys.executable, "-c", _DEFAULT_RUN],
+        [sys.executable, "-c", _CLI_RUNS, json.dumps(runs)],
         cwd=tmp_path,
         env=env,
         capture_output=True,
@@ -455,9 +519,39 @@ def test_default_csvs_match_the_golden_hashes(tmp_path):
         timeout=600,
     )
     assert run.returncode == 0, run.stderr[-2000:]
-    for command, expected in goldens["cli-suite"].items():
-        written = {
+    return {
+        name: {
             path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in (tmp_path / command / "out").iterdir()
+            for path in (tmp_path / name / "out").iterdir()
         }
-        assert written == expected, command
+        for name in runs
+    }
+
+
+def test_default_csvs_match_the_golden_hashes(tmp_path):
+    # every subcommand with the default configuration, as the cli-suite
+    # benchmark workload runs them (sweep with all 16 n = 4 masks)
+    goldens = json.loads((_ROOT / "perfbench" / "goldens.json").read_text())
+    masks = ",".join(format(i, "04b")[::-1] for i in range(16))
+    runs = {
+        command: ([command] + (["--mask", masks] if command == "sweep" else []), "")
+        for command in goldens["cli-suite"]
+    }
+    assert _cli_hashes(tmp_path, runs) == goldens["cli-suite"]
+
+
+# Writer paths the default runs miss: wavefunction dumps, a tailored
+# overlap table, flat masked spectra with a delay phase, a two-delay
+# table and a sixteen-point sweep.
+NONDEFAULT_RUNS = {
+    "eigen_wavefunctions": (["eigen"], "dump_wavefunctions = true\n"),
+    "fc_tailored": (["fc"], "tailored = true\n"),
+    "pulses_flat_masked": (["pulses", "--mask", "0110,1011"], "flat = true\ntau = 1.5\n"),
+    "table1_two_delays": (["table1"], "tau = 0, 0.5\n"),
+    "sweep_n16": (["sweep"], "n = 16\n"),
+}
+
+
+def test_nondefault_csvs_match_the_golden_hashes(tmp_path):
+    goldens = json.loads((_ROOT / "tests" / "nondefault_goldens.json").read_text())
+    assert _cli_hashes(tmp_path, NONDEFAULT_RUNS) == goldens

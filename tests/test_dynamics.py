@@ -1,5 +1,6 @@
 """Coherence transfer: closed-form checks, the time-domain cross-check, readout."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -9,19 +10,25 @@ from carsdj.algorithm import PERIOD_LEVEL
 from carsdj.constants import TWO_PI_C
 from carsdj.dvr import Grid, build_hamiltonian, solve_bound_states
 from carsdj.dynamics import (
+    _ORACLE_STEP_FS,
+    _ORACLE_WINDOW_SIGMAS,
     apply_stokes,
     cars_spectrum,
+    evolution_phase,
     prepare_first_order,
+    random_oracle_configs,
     signal_magnitude,
     time_domain_oracle,
 )
 from carsdj.molecule import VibronicModel, transition_wavenumber, vibrational_period
 from carsdj.pulses import (
     PulseSpec,
+    _unit_phase,
     design_probe,
     design_pump,
     design_stokes,
     spectral_amplitude,
+    time_profile,
 )
 
 WINDOW = (20, 23)
@@ -125,6 +132,64 @@ def test_frequency_domain_amplitude_matches_time_quadrature(model):
     fast = signal_magnitude(apply_stokes(model, first, stokes), 3)
     slow = time_domain_oracle(model, pump, stokes, 3, (19, 23))
     assert abs(fast - slow) / slow < 1e-6
+
+
+def _oracle_grids(pulse):
+    """The coarse and the fine time grid ``time_domain_oracle`` integrates
+    the pulse on."""
+    for step, sigmas in (
+        (_ORACLE_STEP_FS, _ORACLE_WINDOW_SIGMAS),
+        (_ORACLE_STEP_FS / 2.0, 1.5 * _ORACLE_WINDOW_SIGMAS),
+    ):
+        half = sigmas * pulse.sigma_t
+        n_pts = max(int(np.ceil(2.0 * half / step)) + 1, 9)
+        yield pulse.delay + np.linspace(-half, half, n_pts)
+
+
+def _exp_profile(pulse, t):
+    # the unmasked time profile with its carrier from np.exp, as it was
+    # written before the unit-phase helper
+    s = t - pulse.delay
+    sigma = pulse.sigma_t
+    return (
+        pulse.amplitude
+        / (sigma * math.sqrt(2.0 * math.pi))
+        * np.exp(-0.5 * (s / sigma) ** 2)
+        * np.exp(-1j * TWO_PI_C * pulse.center * s)
+    )
+
+
+def test_unit_phases_equal_the_complex_exponentials(model):
+    # every site that takes exp(+-i theta) from the helper gives the bits
+    # of the np.exp expression it replaced
+    rng = np.random.default_rng(20260817)  # the oracle-check default seed
+    for window, v_target, pump, stokes in random_oracle_configs(rng, model, 20):
+        ws = np.arange(window[0], window[1] + 1)
+        for pulse, nu, sign in (
+            (pump, model.nu[ws, 0], 1.0),
+            (stokes, model.nu[ws, v_target], -1.0),
+        ):
+            for t in _oracle_grids(pulse):
+                profile = time_profile(pulse, t)
+                assert profile.tobytes() == _exp_profile(pulse, t).tobytes()
+                phase = _unit_phase(sign * TWO_PI_C * np.outer(nu, t))
+                expected = np.exp(sign * 1j * TWO_PI_C * np.outer(nu, t))
+                assert phase.tobytes() == expected.tobytes()
+    ws = np.arange(14, 30)
+    tau_b = vibrational_period(model, "B", PERIOD_LEVEL)
+    taus = np.linspace(0.0, 2.5, 501) * tau_b
+    for tau in (0.0, tau_b, 1234.5, taus[:, None]):
+        expected = np.exp(-1j * TWO_PI_C * model.nu[ws, 0] * tau)
+        assert evolution_phase(model, ws, tau).tobytes() == expected.tobytes()
+    stokes = design_stokes(model, 4, (20, 23), (0, 1, 1, 0), 10.0, delay=1.5 * tau_b)
+    nu = np.linspace(stokes.center - 2000.0, stokes.center + 2000.0, 2001)
+    expected = spectral_amplitude(replace(stokes, delay=0.0), nu) * np.exp(
+        1j * TWO_PI_C * nu * stokes.delay
+    )
+    assert spectral_amplitude(stokes, nu).tobytes() == expected.tobytes()
+    # a -0.0 angle gives +0.0 sine, as the complex product 1j * theta does
+    zeros = np.array([0.0, -0.0])
+    assert _unit_phase(zeros).tobytes() == np.exp(1j * zeros).tobytes()
 
 
 def test_time_quadrature_validates_inputs(model):
