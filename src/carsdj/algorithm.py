@@ -31,7 +31,7 @@ against.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import lru_cache
 
 import numpy as np
 
@@ -120,9 +120,19 @@ def enumerate_functions(n: int) -> list[BooleanFunction]:
     return [BooleanFunction(tuple((i >> k) & 1 for k in range(n))) for i in range(2**n)]
 
 
-def _bit_matrix(n: int) -> np.ndarray:
-    """Boolean (2^n, n) table whose row i holds the bits of function i."""
-    return ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).astype(bool)
+@lru_cache(maxsize=_MAX_ENUMERATION_N)
+def _s_n_table(n: int) -> np.ndarray:
+    """Read-only S_N of every function on n points, in enumeration order.
+
+    Built by the same doubling as the signals: function i + 2^k differs
+    from function i < 2^k only in bit k, so each step appends s - 1 to
+    s + 1.
+    """
+    s = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        s = np.concatenate([s + 1, s - 1])
+    s.flags.writeable = False
+    return s
 
 
 @dataclass(frozen=True)
@@ -200,10 +210,11 @@ class Outcomes:
                 f"need 2^{self.n} signals, got shape {np.shape(self.signals)}"
             )
 
-    @cached_property
+    @property
     def s_n(self) -> np.ndarray:
-        """Signed sum S_N of every function, in enumeration order."""
-        return self.n - 2 * _bit_matrix(self.n).sum(axis=1)
+        """Signed sum S_N of every function, in enumeration order; one
+        read-only table per n."""
+        return _s_n_table(self.n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,8 +331,10 @@ def channel_weights(
     Raises
     ------
     ValueError
-        If the window does not hold n retained upper levels or
-        ``v_target`` is not a retained lower level.
+        If the window does not hold n retained upper levels,
+        ``v_target`` is not a retained lower level, or the pulse
+        amplitudes overflow a weight or the bound sum_k |z[t, k]| of the
+        signals it feeds.
     """
     model, window = prepare_model(model, options, n)
     tau_b = vibrational_period(model, "B", PERIOD_LEVEL)
@@ -333,21 +346,37 @@ def channel_weights(
     # Same factors, multiplied in the same order, as the sum in apply_stokes.
     stokes_leg = model.fc[ws, v_t] * stokes_emission(model, ws, stokes)[:, v_t]
     pump_leg = first.c * evolution_phase(model, ws, tau_fs[:, None])
-    return tau_fs, stokes_leg * pump_leg
+    # Envelopes, overlaps and phases are at most 1 in size, so only the
+    # amplitudes can push a weight, or a signal, past the float range.
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = stokes_leg * pump_leg
+        bounded = np.isfinite(np.abs(z).sum(axis=1)).all()
+    if not bounded:
+        raise ValueError(
+            f"pump_amplitude = {options.pump_amplitude:g} and stokes_amplitude = "
+            f"{options.stokes_amplitude:g} overflow the channel weights"
+        )
+    return tau_fs, z
 
 
-def _signal_magnitudes(z: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """|sum_k (-1)^bits[f, k] z[t, k]| for every (t, f), shape (T, F).
+def _enumerated_sums(z: np.ndarray) -> np.ndarray:
+    """sum_k (-1)^f(k) z[t, k] of every function f, shape (T, 2^n).
 
-    The sum is accumulated term by term in window order, starting from
-    zero, as ``apply_stokes`` sums over the window; a matrix product
-    would reorder it and move the last digits.
+    Prefix doubling: after step k the first 2^(k+1) columns hold the
+    sums over bits 0..k, and column i + 2^k is column i minus z_k.
+    Every sum is still ((0 +- z_0) +- z_1) +- ..., term by term in window
+    order as ``apply_stokes`` sums, because a - b equals a + (-b) in
+    IEEE arithmetic; a matrix product or a Gray-code walk would reorder
+    or reuse sums and move the last digits.
     """
-    acc = np.zeros((z.shape[0], bits.shape[0]), dtype=complex)
-    for k in range(z.shape[1]):
+    t, n = z.shape
+    acc = np.zeros((t, 2**n), dtype=complex)
+    for k in range(n):
+        h = 1 << k
         term = z[:, k, None]
-        acc += np.where(bits[:, k], -term, term)
-    return np.abs(acc)
+        np.subtract(acc[:, :h], term, out=acc[:, h : 2 * h])
+        acc[:, :h] += term
+    return acc
 
 
 def all_outcomes(
@@ -362,7 +391,7 @@ def all_outcomes(
     ``run_instance`` for the same function, bit for bit.
     """
     tau_fs, z = channel_weights(model, n, (tau_multiple,), options)
-    signals = _signal_magnitudes(z, _bit_matrix(n))[0]
+    signals = np.abs(_enumerated_sums(z)[0])
     signals.flags.writeable = False
     return Outcomes(n, float(tau_fs[0]), tau_multiple, signals)
 
@@ -379,8 +408,10 @@ def sweep_delay(
     to ``run_instance`` at each delay.
     """
     tau_fs, z = channel_weights(model, f.n, tau_multiples, options)
-    bits = np.array([f.bits], dtype=bool)
-    return np.column_stack([tau_fs, _signal_magnitudes(z, bits)[:, 0]])
+    acc = np.zeros(tau_fs.shape, dtype=complex)
+    for bit, term in zip(f.bits, z.T):
+        acc = acc - term if bit else acc + term
+    return np.column_stack([tau_fs, np.abs(acc)])
 
 
 def distinguishability(outcomes: Outcomes) -> float:
@@ -407,11 +438,15 @@ def distinguishability(outcomes: Outcomes) -> float:
 
 
 def pearson_r(outcomes: Outcomes) -> float:
-    """Correlation between measured signals and |S_N| over the outcomes."""
+    """Correlation between measured signals and |S_N| over the outcomes,
+    computed on the signals divided by their maximum."""
     ideal = np.abs(outcomes.s_n).astype(float)
-    if np.ptp(ideal) == 0.0 or np.ptp(outcomes.signals) == 0.0:
+    signals = outcomes.signals
+    if np.ptp(ideal) == 0.0 or np.ptp(signals) == 0.0:
         raise ValueError("degenerate outcome set; correlation undefined")
-    return float(np.corrcoef(outcomes.signals, ideal)[0, 1])
+    # r does not depend on scale; squares of raw signals near 1e+-160
+    # would under- or overflow inside corrcoef.
+    return float(np.corrcoef(signals / signals.max(), ideal)[0, 1])
 
 
 # Standard benchmark rows: three window sizes plus the tailored variant

@@ -42,7 +42,6 @@ from .algorithm import (
     BooleanFunction,
     RunOptions,
     design_pulses,
-    enumerate_functions,
     fidelity_table,
     prepare_model,
     row_options,
@@ -677,24 +676,26 @@ def _cmd_table1(config: ExperimentConfig, out: Path, args) -> None:
         "table1",
         {name: [getattr(m, name) for m in table] for name in metrics},
     )
-    labels = {}
-    for n in {m.n for m in table}:
-        functions = enumerate_functions(n)
-        labels[n] = {
-            "mask_index": [f.index for f in functions],
-            "bits": [f.as_string for f in functions],
-            "class": [f.classification for f in functions],
-        }
     for (n, tailored), cells in groupby(table, lambda m: (m.n, m.tailored)):
         outcomes = [m.outcomes for m in cells]
         name = f"outcomes_n{n}t.csv" if tailored else f"outcomes_n{n}.csv"
+        # Per-function labels as BooleanFunction gives them: bits least
+        # significant first, and the class from S_N.
+        s_n = outcomes[0].s_n
+        labels = {
+            "mask_index": np.arange(2**n),
+            "bits": [format(i, f"0{n}b")[::-1] for i in range(2**n)],
+            "class": np.where(
+                np.abs(s_n) == n, "constant", np.where(s_n == 0, "balanced", "other")
+            ),
+            "s_n": s_n,
+        }
         _write_csv(
             out / name,
             config,
             "table1",
             {
-                **{key: values * len(outcomes) for key, values in labels[n].items()},
-                "s_n": np.concatenate([o.s_n for o in outcomes]),
+                **{key: np.tile(col, len(outcomes)) for key, col in labels.items()},
                 "tau_fs": np.repeat([o.tau_fs for o in outcomes], 2**n),
                 "tau_multiple": np.repeat([o.tau_multiple for o in outcomes], 2**n),
                 "A": np.concatenate([o.signals for o in outcomes]),

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carsdj.algorithm import (
     DEFAULT_PUMP_DURATION,
@@ -15,6 +17,7 @@ from carsdj.algorithm import (
     FidelityMetrics,
     Outcomes,
     RunOptions,
+    _enumerated_sums,
     all_outcomes,
     channel_weights,
     distinguishability,
@@ -37,6 +40,22 @@ _LANDSCAPE_ROWS = (
     (10, (17, 26), False),
     (12, (16, 27), False),
 )
+
+
+def _bit_matrix(n):
+    """Boolean (2^n, n) table whose row i holds the bits of function i."""
+    return ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).astype(bool)
+
+
+def _signal_sums(z, bits):
+    """sum_k (-1)^bits[f, k] z[t, k] for every (t, f), shape (T, F): the
+    term-by-term loop the prefix-doubling kernel replaced, kept as its
+    reference."""
+    acc = np.zeros((z.shape[0], bits.shape[0]), dtype=complex)
+    for k in range(z.shape[1]):
+        term = z[:, k, None]
+        acc += np.where(bits[:, k], -term, term)
+    return acc
 
 
 def _outcomes(signals, tau=0.0):
@@ -301,6 +320,21 @@ def test_sweep_equals_run_instance_exactly(model):
         assert np.array_equal(trace, expected)
 
 
+@pytest.mark.parametrize("n", range(2, 17, 2))
+@pytest.mark.parametrize(
+    "options",
+    [RunOptions(), RunOptions(tailored=True), RunOptions(flat_envelopes=True)],
+    ids=["plain", "tailored", "flat"],
+)
+def test_kernel_equals_the_loop_reference_on_model_weights(model, n, options):
+    options = replace(options, w_window=(22 - n // 2, 21 + n // 2))
+    _, z = channel_weights(model, n, _KERNEL_TAUS, options)
+    expected = np.abs(_signal_sums(z, _bit_matrix(n)))
+    for t, tau in enumerate(_KERNEL_TAUS):
+        signals = all_outcomes(model, n, tau, options).signals
+        assert signals.tobytes() == expected[t].tobytes()
+
+
 def test_sixteen_point_enumeration_is_complement_symmetric(model):
     signals = all_outcomes(model, 16, 1.0, RunOptions(w_window=(14, 29))).signals
     assert signals.size == 2**16
@@ -341,7 +375,8 @@ def _reference_metrics(functions, signals):
     reference = max(groups["constant"])
     d = 1.0 - max(groups["balanced"]) / reference
     ideal = np.array([abs(s_n(f)) for f in functions], dtype=float)
-    r = float(np.corrcoef(np.array(signals.tolist()), ideal)[0, 1])
+    scaled = np.array(signals.tolist()) / max(signals.tolist())
+    r = float(np.corrcoef(scaled, ideal)[0, 1])
     return d, r
 
 
@@ -358,3 +393,54 @@ def test_array_metrics_equal_the_per_function_formulas(model):
             d, r = _reference_metrics(functions, outs.signals)
             assert distinguishability(outs) == d
             assert pearson_r(outs) == r
+
+
+_PARTS = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300]),
+)
+
+
+@st.composite
+def _weights(draw):
+    n = draw(st.integers(1, 16))
+    t = 1 if n > 12 else draw(st.integers(1, 3))
+    parts = draw(st.lists(_PARTS, min_size=2 * t * n, max_size=2 * t * n))
+    return np.array(parts).view(complex).reshape(t, n)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(_weights())
+def test_doubling_kernel_equals_the_loop_bit_for_bit(z):
+    # ±0.0, subnormals and weights near 1e300 included
+    n = z.shape[1]
+    sums = _enumerated_sums(z)
+    assert sums.tobytes() == _signal_sums(z, _bit_matrix(n)).tobytes()
+
+
+def test_signed_sums_are_one_read_only_table_per_n():
+    for n in range(1, 17):
+        s = Outcomes(n, 0.0, 0.0, np.zeros(2**n)).s_n
+        popcount = np.array([bin(i).count("1") for i in range(2**n)])
+        assert s.dtype == np.int64 and not s.flags.writeable
+        assert np.array_equal(s, n - 2 * popcount)
+        assert Outcomes(n, 1.0, 1.0, np.ones(2**n)).s_n is s
+
+
+@pytest.mark.parametrize("amplitude", [1e150, 1e-150, 1e160, 1e-160, 1e-300])
+def test_metrics_survive_extreme_stokes_amplitudes(model, amplitude):
+    # r once squared raw signals, so 1e-160 read r = 0.832 for 0.9855
+    default = fidelity_table(model, (0.0, 1.0))
+    scaled = fidelity_table(model, (0.0, 1.0), RunOptions(stokes_amplitude=amplitude))
+    for m, ref in zip(scaled, default):
+        assert abs(m.r - ref.r) <= 1e-12
+        assert abs(m.d - ref.d) <= 1e-12
+
+
+def test_overflowing_amplitudes_are_refused(model):
+    options = RunOptions(pump_amplitude=1e300, stokes_amplitude=1e300)
+    with pytest.raises(ValueError, match="pump_amplitude = 1e\\+300 and stokes_amp"):
+        channel_weights(model, 4, (0.0,), options)
+    # 1e300 on the pump alone keeps every weight and signal finite
+    outs = all_outcomes(model, 4, 1.0, RunOptions(pump_amplitude=1e300))
+    assert np.isfinite(outs.signals).all()

@@ -441,6 +441,21 @@ def test_an_electronic_offset_that_merges_the_lines_names_b_t_e(
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["sweep", "table1"])
+def test_amplitudes_that_overflow_the_weights_exit_with_code_one(
+    tmp_path, capsys, command
+):
+    # both used to write nan in every row and exit 0
+    config = tmp_path / "run.conf"
+    config.write_text("pump_amplitude = 1e300\nstokes_amplitude = 1e300\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: pump_amplitude = 1e+300 and stokes_amplitude = 1e+300" in err
+    assert len(err) < 200
+    assert list(out.iterdir()) == []
+
+
 def test_out_flag_overrides_the_config_directory(tmp_path):
     config = tmp_path / "run.conf"
     config.write_text(f"out_dir = {tmp_path / 'ignored'}\n")
