@@ -19,8 +19,9 @@ second-order sum by (-1)^f(k):
                exp(-i 2 pi c nu(w_k, 0) tau),
 
 with A_S0 the unmasked Stokes spectrum.  The weights z_k do not depend
-on f, so ``channel_weights`` designs the pulses once per (window, delay
-grid) and ``all_outcomes``/``sweep_delay`` only form signed sums.  The
+on f, so ``channel_weights`` designs the pulses once per (model, n,
+options), keeping every factor but the delay phase, and
+``all_outcomes``/``sweep_delay`` only form signed sums.  The
 sums run sequentially in window order, as the second-order transfer
 does, and a +/-1 sign flips a term exactly, so every signal is
 bit-identical to ``run_instance``, which composes the full pipeline for
@@ -30,8 +31,10 @@ against.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -313,6 +316,58 @@ def design_pulses(
     return pump, stokes
 
 
+class _Legs(NamedTuple):
+    """Delay-independent factors of the channel weights of one run.
+
+    Holds no reference to the model, so a cached entry cannot keep its
+    key alive.
+    """
+
+    tau_b: float
+    ws: np.ndarray
+    stokes_leg: np.ndarray
+    c: np.ndarray
+
+
+# Legs per model, keyed by (n, options); an entry dies with its model.
+_LEGS: weakref.WeakKeyDictionary[VibronicModel, dict] = weakref.WeakKeyDictionary()
+# Distinct runs kept per model, oldest dropped first.  A D/r landscape or
+# a benchmark table needs one per (n, window, tailored) row.
+_LEGS_PER_MODEL = 32
+
+
+def _legs(model: VibronicModel, n: int, options: RunOptions) -> _Legs:
+    """The legs of a run on n points, computed once per (model, n, options).
+
+    The tailored equalisation, pump design, first-order preparation and
+    the all-+1 Stokes design run on a miss only; the arrays returned are
+    read-only and shared by every hit.  Failed runs are not cached.
+    """
+    if options.w_window is not None and not isinstance(options.w_window, tuple):
+        # A list window would make the key unhashable.
+        options = replace(options, w_window=tuple(options.w_window))
+    runs = _LEGS.setdefault(model, {})
+    key = (n, options)
+    legs = runs.get(key)
+    if legs is None:
+        run_model, window = prepare_model(model, options, n)
+        tau_b = vibrational_period(run_model, "B", PERIOD_LEVEL)
+        pump, stokes = design_pulses(run_model, window, (0,) * n, options)
+        first = prepare_first_order(run_model, pump, window)
+        ws = first.w_levels
+        v_t = options.v_target
+        # Same factors, multiplied in the same order, as the sum in apply_stokes.
+        emission = stokes_emission(run_model, ws, stokes)[:, v_t]
+        stokes_leg = run_model.fc[ws, v_t] * emission
+        legs = _Legs(tau_b, ws, stokes_leg, first.c)
+        for array in (ws, stokes_leg, first.c):
+            array.flags.writeable = False
+        if len(runs) >= _LEGS_PER_MODEL:
+            del runs[next(iter(runs))]
+        runs[key] = legs
+    return legs
+
+
 def channel_weights(
     model: VibronicModel,
     n: int,
@@ -322,39 +377,47 @@ def channel_weights(
     """Function-independent channel weights over a grid of delays.
 
     Does once all the work ``run_instance`` repeats per function: the
-    tailored equalisation, pump design and first-order preparation, one
-    all-+1 Stokes design, and the evolution phases of every delay.
-    Returns ``(tau_fs, z)`` with ``tau_fs`` of shape (T,) and ``z`` of
-    shape (T, n); the signal of f at delay t is |sum_k (-1)^f(k) z[t, k]|
-    (see the module docstring).
+    tailored equalisation, pump design and first-order preparation, and
+    one all-+1 Stokes design, all kept per (model, n, options) by
+    ``_legs``; then the evolution phases of every delay.  Returns
+    ``(tau_fs, z)`` with ``tau_fs`` of shape (T,) and ``z`` of shape
+    (T, n); the signal of f at delay t is |sum_k (-1)^f(k) z[t, k]| (see
+    the module docstring).
 
     Raises
     ------
     ValueError
         If the window does not hold n retained upper levels,
-        ``v_target`` is not a retained lower level, or the pulse
-        amplitudes overflow a weight or the bound sum_k |z[t, k]| of the
-        signals it feeds.
+        ``v_target`` is not a retained lower level, the pulse amplitudes
+        overflow a weight or the bound sum_k |z[t, k]| of the signals it
+        feeds, or the amplitudes and durations leave every weight below
+        the normal float range.
     """
-    model, window = prepare_model(model, options, n)
-    tau_b = vibrational_period(model, "B", PERIOD_LEVEL)
-    tau_fs = np.asarray(tau_multiples, dtype=float).reshape(-1) * tau_b
-    pump, stokes = design_pulses(model, window, (0,) * n, options)
-    first = prepare_first_order(model, pump, window)
-    ws = first.w_levels
-    v_t = options.v_target
-    # Same factors, multiplied in the same order, as the sum in apply_stokes.
-    stokes_leg = model.fc[ws, v_t] * stokes_emission(model, ws, stokes)[:, v_t]
-    pump_leg = first.c * evolution_phase(model, ws, tau_fs[:, None])
+    legs = _legs(model, n, options)
+    tau_fs = np.asarray(tau_multiples, dtype=float).reshape(-1) * legs.tau_b
+    # The equalisation leaves the transition wavenumbers alone.
+    pump_leg = legs.c * evolution_phase(model, legs.ws, tau_fs[:, None])
     # Envelopes, overlaps and phases are at most 1 in size, so only the
     # amplitudes can push a weight, or a signal, past the float range.
     with np.errstate(over="ignore", invalid="ignore"):
-        z = stokes_leg * pump_leg
-        bounded = np.isfinite(np.abs(z).sum(axis=1)).all()
+        z = legs.stokes_leg * pump_leg
+        magnitudes = np.abs(z)
+        bounded = np.isfinite(magnitudes.sum(axis=1)).all()
     if not bounded:
         raise ValueError(
             f"pump_amplitude = {options.pump_amplitude:g} and stokes_amplitude = "
             f"{options.stokes_amplitude:g} overflow the channel weights"
+        )
+    # Subnormal weights carry a few bits, and zero ones no signal at all:
+    # small amplitudes, or pulses so long that their spectra miss the
+    # window, do that.
+    if z.size and magnitudes.max() < np.finfo(float).tiny:
+        raise ValueError(
+            f"pump_amplitude = {options.pump_amplitude:g}, stokes_amplitude = "
+            f"{options.stokes_amplitude:g}, pump_duration = "
+            f"{options.resolved_pump_duration():g} and stokes_duration = "
+            f"{options.stokes_duration:g} fs leave every channel weight below "
+            "the float range"
         )
     return tau_fs, z
 

@@ -594,10 +594,20 @@ def _delay_model(
 def _check_lines(
     config: ExperimentConfig, model: VibronicModel, window: tuple[int, int], v: int
 ) -> None:
-    """ConfigError unless the lines nu(w, v) of the window ascend: pulse
-    design bins them, and a huge electronic offset rounds them together."""
+    """ConfigError unless the lines nu(w, v) of the window are positive
+    and ascend: pulses are centred on them and pulse design bins them.  A
+    small electronic offset with a high ``v`` puts them below zero, a huge
+    one rounds them together."""
     w_lo, w_hi = window
-    if not (np.diff(model.nu[w_lo : w_hi + 1, v]) > 0.0).all():
+    lines = model.nu[w_lo : w_hi + 1, v]
+    if not lines.min() > 0.0:
+        level = f"v_target = {v}" if v == config.v_target else f"lower level {v}"
+        raise ConfigError(
+            f"b_t_e = {config.b_t_e:.4g} cm^-1 and {level} put the lowest line of "
+            f"upper levels {w_lo}-{w_hi} at {lines.min():.4g} cm^-1; lines must be "
+            "positive"
+        )
+    if not (np.diff(lines) > 0.0).all():
         raise ConfigError(
             f"b_t_e = {config.b_t_e:.4g} cm^-1 swamps upper levels {w_lo}-{w_hi}: "
             "their transition wavenumbers do not ascend in floating point"
@@ -713,7 +723,8 @@ def _cmd_table1(config: ExperimentConfig, out: Path, args) -> None:
 def _cmd_oracle_check(config: ExperimentConfig, out: Path, args) -> None:
     """frequency- vs time-domain agreement"""
     model = config.build(ORACLE_UPPER_LEVELS[1], ORACLE_TARGET_LEVELS[1])
-    _check_lines(config, model, ORACLE_UPPER_LEVELS, 0)
+    # The highest target has the lowest lines.
+    _check_lines(config, model, ORACLE_UPPER_LEVELS, ORACLE_TARGET_LEVELS[1])
     rng = np.random.default_rng(config.oracle_seed)
     configs = random_oracle_configs(rng, model, config.oracle_configs)
     rows = []

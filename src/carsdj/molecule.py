@@ -38,9 +38,12 @@ DEFAULT_N_B = 40
 _TURNING_MARGIN_ANG = 0.25
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VibronicModel:
     """Bound states of both curves plus the Franck-Condon overlap matrix.
+
+    Equality and hash are by identity: the fields hold arrays, and
+    per-model caches key on the object.
 
     Attributes
     ----------

@@ -150,7 +150,10 @@ def spectral_amplitude(pulse: PulseSpec, nu: np.ndarray | float) -> np.ndarray:
         env = np.ones_like(nu_arr)
     else:
         detune = TWO_PI_C * (nu_arr - pulse.center)
-        env = np.exp(-0.5 * (pulse.sigma_t * detune) ** 2)
+        # Far from the carrier the square overflows and the envelope
+        # reaches its limit, 0.
+        with np.errstate(over="ignore"):
+            env = np.exp(-0.5 * (pulse.sigma_t * detune) ** 2)
     out = (pulse.amplitude * env).astype(complex)
     if pulse.mask is not None:
         out *= pulse.mask.factor(nu_arr)

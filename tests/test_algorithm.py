@@ -1,5 +1,7 @@
 """Boolean encoding, outcome bookkeeping, and the fidelity metrics."""
 
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from carsdj import algorithm
 from carsdj.algorithm import (
     DEFAULT_PUMP_DURATION,
     DEFAULT_TAILORED_PUMP_DURATION,
@@ -444,3 +447,160 @@ def test_overflowing_amplitudes_are_refused(model):
     # 1e300 on the pump alone keeps every weight and signal finite
     outs = all_outcomes(model, 4, 1.0, RunOptions(pump_amplitude=1e300))
     assert np.isfinite(outs.signals).all()
+
+
+def _run_bytes(get_model, n, taus, options):
+    """tau_fs and z over ``taus``, every signal, r and D at the first three
+    delays, as bytes, each call on the model ``get_model()`` returns; a
+    refused run gives its message."""
+    try:
+        tau_fs, z = channel_weights(get_model(), n, taus, options)
+    except ValueError as exc:
+        return str(exc)
+    out = [tau_fs.tobytes(), z.tobytes()]
+    for tau in taus[:3]:
+        outs = all_outcomes(get_model(), n, tau, options)
+        out.append(outs.signals.tobytes())
+        try:
+            out.append(np.array([pearson_r(outs), distinguishability(outs)]).tobytes())
+        except ValueError as exc:
+            out.append(str(exc))
+    return out
+
+
+_DELAYS = st.one_of(
+    st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4).map(tuple),
+    st.just(tuple(np.linspace(0.0, 2.5, 501).tolist())),
+)
+
+
+@st.composite
+def _cached_runs(draw):
+    n = draw(st.integers(1, 8)) * 2
+    w_lo = draw(st.integers(0, 39 - n))
+    window = draw(st.sampled_from([None, (w_lo, w_lo + n - 1)]))
+    options = RunOptions(
+        w_window=window,
+        v_target=draw(st.integers(0, 8)),
+        pump_duration=draw(st.one_of(st.none(), st.floats(5.0, 300.0))),
+        stokes_duration=draw(st.floats(5.0, 300.0)),
+        # products beyond 1e+-300 are refused, on a hit as on a miss
+        pump_amplitude=10.0 ** draw(st.integers(-200, 200)),
+        stokes_amplitude=10.0 ** draw(st.integers(-200, 200)),
+        tailored=draw(st.booleans()),
+        flat_envelopes=draw(st.booleans()),
+    )
+    return n, draw(_DELAYS), options
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(_cached_runs())
+def test_cached_legs_equal_a_cold_call_bit_for_bit(model, run):
+    n, taus, options = run
+    # a fresh copy of the model has an empty cache, so every call misses
+    cold = _run_bytes(lambda: replace(model), n, taus, options)
+    shared = replace(model)
+    first = _run_bytes(lambda: shared, n, taus, options)
+    hit = _run_bytes(lambda: shared, n, taus, options)
+    assert cold == first == hit
+
+
+def test_pulses_are_designed_once_per_model_n_and_options(model, monkeypatch):
+    windows = []
+    design = algorithm.design_pump
+
+    def counted(model, window, **kwargs):
+        windows.append(window)
+        return design(model, window, **kwargs)
+
+    monkeypatch.setattr(algorithm, "design_pump", counted)
+    fresh = replace(model)
+    tailored = RunOptions(tailored=True)
+    for tau in _KERNEL_TAUS:
+        all_outcomes(fresh, 4, tau)
+        all_outcomes(fresh, 8, tau, tailored)
+    sweep_delay(fresh, BooleanFunction((0, 1, 0, 1)), np.linspace(0.0, 2.5, 11))
+    fidelity_table(fresh, (0.0,))
+    assert windows == [(20, 23), (18, 25), (19, 24), (18, 25)]
+    # another n, other options or another model each design once more
+    channel_weights(fresh, 4, (0.0,), RunOptions(stokes_amplitude=2.0))
+    channel_weights(replace(model), 4, (0.0,))
+    assert len(windows) == 6
+
+
+def test_cached_legs_die_with_their_model(model):
+    fresh = replace(model)
+    for options in (RunOptions(), RunOptions(tailored=True)):
+        all_outcomes(fresh, 8, 1.0, options)
+    assert len(algorithm._LEGS[fresh]) == 2
+    ref = weakref.ref(fresh)
+    del fresh
+    gc.collect()
+    assert ref() is None
+
+
+def test_models_compare_and_hash_by_identity(model):
+    copy = replace(model)
+    assert copy != model and model == model
+    assert hash(model) != hash(copy)
+
+
+def test_a_list_window_is_keyed_as_its_tuple(model):
+    fresh = replace(model)
+    as_list = all_outcomes(fresh, 4, 1.0, RunOptions(w_window=[18, 21]))
+    as_tuple = all_outcomes(fresh, 4, 1.0, RunOptions(w_window=(18, 21)))
+    assert as_list.signals.tobytes() == as_tuple.signals.tobytes()
+    assert list(algorithm._LEGS[fresh]) == [(4, RunOptions(w_window=(18, 21)))]
+
+
+def test_a_failing_run_is_not_cached(model, monkeypatch):
+    fresh = replace(model)
+    with pytest.raises(ValueError, match="outside retained"):
+        channel_weights(fresh, 4, (0.0,), RunOptions(w_window=(38, 41)))
+    design = algorithm.design_pump
+    failures = [ValueError("design failed once")]
+
+    def flaky(*args, **kwargs):
+        if failures:
+            raise failures.pop()
+        return design(*args, **kwargs)
+
+    monkeypatch.setattr(algorithm, "design_pump", flaky)
+    with pytest.raises(ValueError, match="design failed once"):
+        channel_weights(fresh, 4, (0.0,))
+    assert not algorithm._LEGS[fresh]
+    _, z = channel_weights(fresh, 4, (0.0,))
+    assert z.tobytes() == channel_weights(replace(model), 4, (0.0,))[1].tobytes()
+
+
+def test_cached_legs_are_read_only_and_bounded(model):
+    fresh = replace(model)
+    _, z = channel_weights(fresh, 4, (0.0, 1.0))
+    (legs,) = algorithm._LEGS[fresh].values()
+    for array in (legs.ws, legs.stokes_leg, legs.c):
+        assert not array.flags.writeable
+    # the weights are the caller's to change
+    z[:] = 0.0
+    assert channel_weights(fresh, 4, (0.0, 1.0))[1].any()
+    for k in range(algorithm._LEGS_PER_MODEL + 3):
+        channel_weights(fresh, 2, (0.0,), RunOptions(stokes_amplitude=1.0 + k))
+    assert len(algorithm._LEGS[fresh]) == algorithm._LEGS_PER_MODEL
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        RunOptions(stokes_amplitude=1e-320),
+        RunOptions(pump_amplitude=1e-160, stokes_amplitude=1e-160),
+        RunOptions(pump_duration=1e300),
+        RunOptions(stokes_duration=1e300, tailored=True),
+    ],
+)
+def test_vanishing_weights_are_refused_on_every_call(model, options):
+    # 1e-320 used to give subnormal weights and D, r a point off
+    fresh = replace(model)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="pump_duration = .* leave every") as err:
+            all_outcomes(fresh, 4, 0.0, options)
+        assert "stokes_amplitude" in str(err.value)
+        assert "stokes_duration" in str(err.value)

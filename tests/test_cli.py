@@ -456,6 +456,68 @@ def test_amplitudes_that_overflow_the_weights_exit_with_code_one(
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    ("text", "argv", "values"),
+    [
+        ("stokes_amplitude = 1e-320\n", ["table1"], "1, stokes_amplitude = 9.99989e-321"),
+        ("stokes_amplitude = 1e-320\n", ["sweep"], "1, stokes_amplitude = 9.99989e-321"),
+        ("pump_duration = 1e300\n", ["sweep"], "pump_duration = 1e+300 and stokes_duration = 30 fs"),
+        ("stokes_duration = 1e300\n", ["sweep"], "and stokes_duration = 1e+300 fs"),
+        ("pump_duration = 1e300\n", ["table1", "--tailored"], "pump_duration = 1e+300 and"),
+    ],
+)
+def test_vanishing_weights_exit_with_code_one_naming_their_keys(
+    tmp_path, capsys, text, argv, values
+):
+    # with exit 0, 1e-320 used to print D and r a point off and the
+    # durations to write all-zero traces; table1 blamed a "degenerate
+    # outcome set"
+    config = tmp_path / "run.conf"
+    config.write_text(text)
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: pump_amplitude = 1") and values in err
+    assert "leave every channel weight below the float range" in err
+    assert len(err) < 200
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    ("text", "command", "message"),
+    [
+        (
+            "b_t_e = 1\nv_target = 17\n",
+            command,
+            "b_t_e = 1 cm^-1 and v_target = 17 put the lowest line of upper levels "
+            "20-23 at -1233 cm^-1",
+        )
+        for command in ("pulses", "sweep", "table1")
+    ]
+    + [
+        (
+            "b_t_e = 0\nx_beta = 20\n",
+            "oracle-check",
+            "b_t_e = 0 cm^-1 and lower level 6 put the lowest line of upper "
+            "levels 16-30 at -8660 cm^-1",
+        )
+    ],
+)
+def test_lines_below_zero_name_b_t_e_and_v_target(
+    tmp_path, capsys, text, command, message
+):
+    # used to exit 1 with "center wavenumber must be positive, got -1099.82..."
+    config = tmp_path / "run.conf"
+    config.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err and len(err) < 200
+    assert list(out.iterdir()) == []
+
+
 def test_out_flag_overrides_the_config_directory(tmp_path):
     config = tmp_path / "run.conf"
     config.write_text(f"out_dir = {tmp_path / 'ignored'}\n")
