@@ -16,7 +16,7 @@ from carsdj.molecule import (
     IODINE_REDUCED_MASS,
     IODINE_X,
     build_model,
-    fc_window_score,
+    checked_window,
     transition_wavenumber,
     vibrational_period,
 )
@@ -35,6 +35,14 @@ try:
     import matplotlib.pyplot as plt
 except ImportError:
     plt = None
+
+
+def fc_window_score(model, v_target: int, w_window: tuple[int, int]) -> np.ndarray:
+    """(w, |fc[w, 0] * fc[w, v_target]|) rows over an inclusive window: how
+    strongly each upper level couples the v=0 -> v_target Raman channel."""
+    ws = checked_window(model, w_window, v_target)
+    scores = np.abs(model.fc[ws, 0] * model.fc[ws, v_target])
+    return np.column_stack([ws.astype(float), scores])
 
 
 def main() -> None:

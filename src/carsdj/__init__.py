@@ -45,7 +45,6 @@ from .molecule import (
     IODINE_X,
     VibronicModel,
     build_model,
-    fc_window_score,
     transition_wavenumber,
     vibrational_period,
     with_equalized_fc,
@@ -103,7 +102,6 @@ __all__ = [
     "design_stokes",
     "distinguishability",
     "enumerate_functions",
-    "fc_window_score",
     "fidelity_table",
     "harmonic_wavenumber",
     "kinetic_matrix",

@@ -18,9 +18,11 @@ Six subcommands cover the standard reproductions:
     pulse configurations.
 
 Configuration is a flat ``key=value`` file ('#' starts a comment).
-Every output CSV begins with comment lines echoing the fully resolved
+Each subcommand yields its tables and ``main`` alone writes them.  Every
+output CSV begins with comment lines echoing the fully resolved
 configuration, so identical inputs produce byte-identical files.  Exit
-codes: 0 success, 1 invalid configuration, 2 numerical failure.
+codes: 0 success, 1 invalid configuration, 2 numerical failure (a
+non-finite cell included).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import sys
 from dataclasses import dataclass, fields, replace
 from itertools import groupby
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -464,21 +466,21 @@ def _config_lines(config: ExperimentConfig) -> list[str]:
     return lines
 
 
-def _write_csv(
-    path: Path,
-    config: ExperimentConfig,
-    command: str,
-    columns: dict[str, object],
-    extra: tuple[tuple[str, object], ...] = (),
-) -> None:
-    """Write the header, then one line per row of the named, equally long
-    columns (arrays or lists), every line from one %-template."""
-    lines = [f"# command={command}"]
-    lines.extend(_config_lines(config))
-    for name, value in extra:
-        lines.append(f"# {name}={_fmt(value)}")
-    lines.append(",".join(columns))
-    conversions, cells = zip(*map(_column, columns.values()))
+class Table(NamedTuple):
+    """One output CSV: its file name, its named, equally long columns
+    (arrays or lists) and the header keys of this file alone."""
+
+    name: str
+    columns: dict[str, object]
+    extra: tuple[tuple[str, object], ...] = ()
+
+
+def _write_csv(path: Path, header: list[str], table: Table) -> None:
+    """Write the run's header lines and the table's own keys, then one line
+    per row of its columns, every line from one %-template."""
+    lines = [*header, *(f"# {name}={_fmt(value)}" for name, value in table.extra)]
+    lines.append(",".join(table.columns))
+    conversions, cells = zip(*map(_column, table.columns.values()))
     template = ",".join(conversions)
     rows = [template % row for row in zip(*cells, strict=True)]
     lines.extend(rows)
@@ -506,7 +508,7 @@ def _parse_masks(text: str | None, n: int) -> list[BooleanFunction]:
 # ---------------------------------------------------------------------------
 # Subcommands
 
-def _cmd_eigen(config: ExperimentConfig, out: Path, args) -> None:
+def _cmd_eigen(config: ExperimentConfig, args) -> Iterator[Table]:
     """bound-level energies with closed-form deltas"""
     model = config.build()
     surfaces = (
@@ -517,10 +519,8 @@ def _cmd_eigen(config: ExperimentConfig, out: Path, args) -> None:
         energies = solution.energies
         index = np.arange(len(energies))
         analytic = morse_analytic_levels(params, config.reduced_mass, len(energies))
-        _write_csv(
-            out / f"eigen_{tag}.csv",
-            config,
-            "eigen",
+        yield Table(
+            f"eigen_{tag}.csv",
             {
                 "index": index,
                 "energy_cm1": energies,
@@ -532,47 +532,54 @@ def _cmd_eigen(config: ExperimentConfig, out: Path, args) -> None:
             coefficients = {
                 f"c{j}": column for j, column in enumerate(solution.wavefunctions.T)
             }
-            _write_csv(
-                out / f"wavefunctions_{tag}.csv",
-                config,
-                "eigen",
+            yield Table(
+                f"wavefunctions_{tag}.csv",
                 {"index": index, "energy_cm1": energies, **coefficients},
             )
 
 
-def _cmd_fc(config: ExperimentConfig, out: Path, args) -> None:
+def _cmd_fc(config: ExperimentConfig, args) -> Iterator[Table]:
     """overlap matrix and transition table"""
     model = config.prepared_model()
     w, v = np.indices(model.fc.shape)
     columns = {"w": w, "v": v, "fc": model.fc, "nu_cm1": model.nu}
-    _write_csv(
-        out / "fc.csv",
-        config,
-        "fc",
-        {name: values.ravel() for name, values in columns.items()},
-    )
+    yield Table("fc.csv", {name: values.ravel() for name, values in columns.items()})
 
 
-def _spectrum_grid(pulse: PulseSpec) -> np.ndarray:
+def _spectrum_grid(pulse: PulseSpec, key: str) -> np.ndarray:
+    """Wavenumbers a pulse's spectrum is written at; ConfigError naming
+    ``{key}_duration`` unless their span is finite."""
     width = 4.0 * pulse.bandwidth_fwhm
     lo = pulse.center - width
     hi = pulse.center + width
     if pulse.mask is not None:
         lo = min(lo, pulse.mask.bin_edges[0] - pulse.bandwidth_fwhm)
         hi = max(hi, pulse.mask.bin_edges[-1] + pulse.bandwidth_fwhm)
+    if not np.isfinite(hi - lo):
+        raise ConfigError(
+            f"{key}_duration = {pulse.duration_fwhm:.4g} fs is too short: its "
+            "spectrum is too wide to sample in floating point"
+        )
     return np.linspace(lo, hi, _SPECTRUM_POINTS)
 
 
-def _dump_spectrum(
-    path: Path,
-    config: ExperimentConfig,
-    pulse: PulseSpec,
-    extra: tuple[tuple[str, object], ...] = (),
-) -> None:
-    nu = _spectrum_grid(pulse)
+def _spectrum(
+    name: str, pulse: PulseSpec, key: str, extra: tuple[tuple[str, object], ...] = ()
+) -> Table:
+    """Table of a pulse's complex spectrum; ConfigError naming the pulse's
+    duration and amplitude keys unless it is sampled on a finite grid and
+    reaches the normal float range there."""
+    nu = _spectrum_grid(pulse, key)
     amp = spectral_amplitude(pulse, nu)
-    columns = {"nu_cm1": nu, "re_amp": amp.real, "im_amp": amp.imag}
-    _write_csv(path, config, "pulses", columns, extra)
+    if not np.abs(amp).max() >= np.finfo(float).tiny:
+        keys = f"{key}_duration = {pulse.duration_fwhm:.4g} fs"
+        if f"{key}_amplitude" in _KEY_TYPES:
+            keys += f" and {key}_amplitude = {pulse.amplitude:.4g}"
+        raise ConfigError(
+            f"{keys} leave the {key} spectrum below the float range at every "
+            "sampled wavenumber"
+        )
+    return Table(name, {"nu_cm1": nu, "re_amp": amp.real, "im_amp": amp.imag}, extra)
 
 
 def _delay_model(
@@ -624,7 +631,7 @@ def _check_phase(config: ExperimentConfig, key: str, tau_b: float, nu: float) ->
         )
 
 
-def _cmd_pulses(config: ExperimentConfig, out: Path, args) -> None:
+def _cmd_pulses(config: ExperimentConfig, args) -> Iterator[Table]:
     """complex pulse spectra"""
     window = config.resolved_window()
     model, tau_b = _delay_model(config, "tau", window)
@@ -637,22 +644,23 @@ def _cmd_pulses(config: ExperimentConfig, out: Path, args) -> None:
     options = config.run_options()
     designs = [design_pulses(model, window, f.bits, options, delay) for f in masks]
     # The Stokes spectra are sampled beyond the transitions.
-    _check_phase(config, "tau", tau_b, np.abs(_spectrum_grid(designs[0][1])).max())
+    stokes_nu = _spectrum_grid(designs[0][1], "stokes")
+    _check_phase(config, "tau", tau_b, np.abs(stokes_nu).max())
     probe = design_probe(model, probe_level, config.v_target, config.probe_duration)
     if config.flat:
         probe = replace(probe, flat=True)
-    _dump_spectrum(out / "pump.csv", config, designs[0][0])
-    _dump_spectrum(out / "probe.csv", config, probe, (("probe_level", probe_level),))
+    # Every spectrum is checked before the first file is written.
+    tables = [
+        _spectrum("pump.csv", designs[0][0], "pump"),
+        _spectrum("probe.csv", probe, "probe", (("probe_level", probe_level),)),
+    ]
     for f, (_, stokes) in zip(masks, designs):
-        _dump_spectrum(
-            out / f"stokes_{f.as_string}.csv",
-            config,
-            stokes,
-            (("mask", f.as_string), ("delay_fs", delay), ("tau_b_fs", tau_b)),
-        )
+        extra = (("mask", f.as_string), ("delay_fs", delay), ("tau_b_fs", tau_b))
+        tables.append(_spectrum(f"stokes_{f.as_string}.csv", stokes, "stokes", extra))
+    yield from tables
 
 
-def _cmd_sweep(config: ExperimentConfig, out: Path, args) -> None:
+def _cmd_sweep(config: ExperimentConfig, args) -> Iterator[Table]:
     """signal-versus-delay traces"""
     model, tau_b = _delay_model(config, "sweep_max_multiple", config.resolved_window())
     options = config.run_options()
@@ -664,31 +672,30 @@ def _cmd_sweep(config: ExperimentConfig, out: Path, args) -> None:
     multiples = np.linspace(0.0, config.sweep_max_multiple, config.sweep_points)
     for f in masks:
         trace = sweep_delay(model, f, multiples, options)
-        _write_csv(
-            out / f"sweep_{f.as_string}.csv",
-            config,
-            "sweep",
+        yield Table(
+            f"sweep_{f.as_string}.csv",
             {"tau_fs": trace[:, 0], "tau_multiple": multiples, "A": trace[:, 1]},
             (("mask", f.as_string), ("class", f.classification), ("tau_b_fs", tau_b)),
         )
 
 
-def _cmd_table1(config: ExperimentConfig, out: Path, args) -> None:
+def _cmd_table1(config: ExperimentConfig, args) -> Iterator[Table]:
     """correlation/distinguishability grid"""
+    if config.tailored:
+        raise ConfigError(
+            "tailored = true does not apply to table1: every row sets its own "
+            "tailored (n = 8 runs both), so it would change only the header"
+        )
     options = config.run_options()
     windows = (row_options(options, n, t).resolved_window(n) for n, t in TABLE_ROWS)
     model, _ = _delay_model(config, "tau", *windows)
     table = fidelity_table(model, config.tau, options)
     metrics = ("n", "tau_multiple", "tailored", "r", "d", "r_pct", "d_pct")
-    _write_csv(
-        out / "metrics.csv",
-        config,
-        "table1",
-        {name: [getattr(m, name) for m in table] for name in metrics},
+    yield Table(
+        "metrics.csv", {name: [getattr(m, name) for m in table] for name in metrics}
     )
     for (n, tailored), cells in groupby(table, lambda m: (m.n, m.tailored)):
         outcomes = [m.outcomes for m in cells]
-        name = f"outcomes_n{n}t.csv" if tailored else f"outcomes_n{n}.csv"
         # Per-function labels as BooleanFunction gives them: bits least
         # significant first, and the class from S_N.
         s_n = outcomes[0].s_n
@@ -700,10 +707,8 @@ def _cmd_table1(config: ExperimentConfig, out: Path, args) -> None:
             ),
             "s_n": s_n,
         }
-        _write_csv(
-            out / name,
-            config,
-            "table1",
+        yield Table(
+            f"outcomes_n{n}t.csv" if tailored else f"outcomes_n{n}.csv",
             {
                 **{key: np.tile(col, len(outcomes)) for key, col in labels.items()},
                 "tau_fs": np.repeat([o.tau_fs for o in outcomes], 2**n),
@@ -720,7 +725,7 @@ def _cmd_table1(config: ExperimentConfig, out: Path, args) -> None:
         )
 
 
-def _cmd_oracle_check(config: ExperimentConfig, out: Path, args) -> None:
+def _cmd_oracle_check(config: ExperimentConfig, args) -> Iterator[Table]:
     """frequency- vs time-domain agreement"""
     model = config.build(ORACLE_UPPER_LEVELS[1], ORACLE_TARGET_LEVELS[1])
     # The highest target has the lowest lines.
@@ -737,42 +742,16 @@ def _cmd_oracle_check(config: ExperimentConfig, out: Path, args) -> None:
         rel_dev = abs(freq_signal - time_signal) / max(time_signal, 1e-300)
         worst = max(worst, rel_dev)
         rows.append(
-            (
-                index,
-                *window,
-                v_target,
-                pump.duration_fwhm,
-                stokes.duration_fwhm,
-                pump.amplitude,
-                stokes.amplitude,
-                pump.delay,
-                stokes.delay,
-                freq_signal,
-                time_signal,
-                rel_dev,
-            )
+            (index, *window, v_target, pump.duration_fwhm, stokes.duration_fwhm,
+             pump.amplitude, stokes.amplitude, pump.delay, stokes.delay,
+             freq_signal, time_signal, rel_dev)
         )
     names = (
-        "config_index",
-        "w_lo",
-        "w_hi",
-        "v_target",
-        "pump_fwhm_fs",
-        "stokes_fwhm_fs",
-        "pump_amplitude",
-        "stokes_amplitude",
-        "pump_delay_fs",
-        "tau_fs",
-        "freq_signal",
-        "time_signal",
-        "rel_dev",
+        "config_index", "w_lo", "w_hi", "v_target", "pump_fwhm_fs", "stokes_fwhm_fs",
+        "pump_amplitude", "stokes_amplitude", "pump_delay_fs", "tau_fs",
+        "freq_signal", "time_signal", "rel_dev",
     )
-    _write_csv(
-        out / "oracle_check.csv",
-        config,
-        "oracle-check",
-        dict(zip(names, zip(*rows))),
-    )
+    yield Table("oracle_check.csv", dict(zip(names, zip(*rows))))
     print(
         f"max relative deviation = {worst:.3e} over {config.oracle_configs} "
         f"configurations (threshold {ORACLE_TOLERANCE:.0e})"
@@ -872,9 +851,19 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         config = _load_config(args)
         out = Path(config.out_dir)
+        header = [f"# command={args.command}", *_config_lines(config)]
         try:
             out.mkdir(parents=True, exist_ok=True)
-            _COMMANDS[args.command](config, out, args)
+            for table in _COMMANDS[args.command](config, args):
+                path = out / table.name
+                for name, values in table.columns.items():
+                    cells = np.asarray(values)
+                    if cells.dtype.kind == "f" and not np.isfinite(cells).all():
+                        raise RuntimeError(
+                            f"column {name!r} of {path} holds a non-finite cell; "
+                            "the file is not written"
+                        )
+                _write_csv(path, header, table)
         except OSError as exc:
             raise ConfigError(
                 f"cannot write to out_dir {config.out_dir!r}: {exc}"

@@ -254,20 +254,6 @@ def vibrational_period(model: VibronicModel, surface: str, level: int) -> float:
     return 1.0 / (C_CM_PER_FS * spacing)
 
 
-def fc_window_score(
-    model: VibronicModel, v_target: int, w_window: tuple[int, int]
-) -> np.ndarray:
-    """|fc[w, 0] * fc[w, v_target]| for w over an inclusive window.
-
-    Returns an array of shape (len(window), 2) with columns (w, score).
-    This scores how strongly each upper level couples the v=0 -> v_target
-    Raman channel.
-    """
-    ws = checked_window(model, w_window, v_target)
-    scores = np.abs(model.fc[ws, 0] * model.fc[ws, v_target])
-    return np.column_stack([ws.astype(float), scores])
-
-
 def with_equalized_fc(
     model: VibronicModel, w_window: tuple[int, int], v_target: int
 ) -> VibronicModel:

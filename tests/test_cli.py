@@ -1,14 +1,19 @@
 """Command-line interface: config parsing, outputs, and exit codes."""
 
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import carsdj.cli as cli
 from carsdj import RunOptions, all_outcomes
@@ -217,7 +222,7 @@ def test_column_writer_equals_the_per_cell_join(tmp_path):
         "int_list": rng.integers(10**12, 10**17, count).tolist(),
     }
     path = tmp_path / "cells.csv"
-    cli._write_csv(path, parse_config(""), "test", columns)
+    cli._write_csv(path, ["# command=test"], cli.Table(path.name, columns))
     header, rows = _read_csv(path)
     assert header == list(columns)
     cells = list(zip(*columns.values()))
@@ -464,7 +469,7 @@ def test_amplitudes_that_overflow_the_weights_exit_with_code_one(
         ("stokes_amplitude = 1e-320\n", ["sweep"], "1, stokes_amplitude = 9.99989e-321"),
         ("pump_duration = 1e300\n", ["sweep"], "pump_duration = 1e+300 and stokes_duration = 30 fs"),
         ("stokes_duration = 1e300\n", ["sweep"], "and stokes_duration = 1e+300 fs"),
-        ("pump_duration = 1e300\n", ["table1", "--tailored"], "pump_duration = 1e+300 and"),
+        ("pump_duration = 1e300\n", ["table1"], "pump_duration = 1e+300 and"),
     ],
 )
 def test_vanishing_weights_exit_with_code_one_naming_their_keys(
@@ -547,12 +552,116 @@ def test_an_undecodable_config_file_is_named(tmp_path, capsys):
 
 
 def test_numerical_failures_exit_with_code_two(tmp_path, monkeypatch, capsys):
-    def boom(config, out, args):
+    def boom(config, args):
         raise RuntimeError("synthetic convergence failure")
 
     monkeypatch.setitem(cli._COMMANDS, "eigen", boom)
     assert main(["eigen", "--out", str(tmp_path)]) == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_a_non_finite_cell_exits_with_code_two_naming_file_and_column(
+    tmp_path, monkeypatch, capsys, bad
+):
+    def command(config, args):
+        yield cli.Table("first.csv", {"x": [1.0, 2.0]})
+        yield cli.Table("second.csv", {"x": [1.0, 2.0], "y": np.array([0.5, bad])})
+        raise AssertionError("resumed after the refusal")
+
+    monkeypatch.setitem(cli._COMMANDS, "eigen", command)
+    assert main(["eigen", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"column 'y' of {tmp_path / 'second.csv'} holds a non-finite cell" in err
+    assert [path.name for path in tmp_path.iterdir()] == ["first.csv"]
+
+
+def test_subcommands_write_nothing_themselves(tmp_path, monkeypatch):
+    # main alone turns the yielded tables into files
+    monkeypatch.chdir(tmp_path)
+    config = parse_config("")
+    for command in cli._COMMANDS:
+        args = cli._build_parser().parse_args([command])
+        tables = list(cli._COMMANDS[command](config, args))
+        assert tables and all(isinstance(table, cli.Table) for table in tables)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_table1_refuses_tailored(tmp_path, capsys):
+    # every row sets its own tailored: the flag used to change only the header
+    out = tmp_path / "out"
+    assert main(["table1", "--tailored", "--out", str(out)]) == 1
+    assert "error: tailored = true does not apply to table1" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("pump_duration = 1e-305\n", "pump_duration = 1e-305 fs is too short"),
+        ("stokes_duration = 1e-305\n", "stokes_duration = 1e-305 fs is too short"),
+        ("probe_duration = 1e-305\n", "probe_duration = 1e-305 fs is too short"),
+        (
+            "stokes_duration = 1e300\n",
+            "stokes_duration = 1e+300 fs and stokes_amplitude = 1 leave the stokes "
+            "spectrum below the float range",
+        ),
+        (
+            "pump_amplitude = 1e-308\n",
+            "pump_duration = 30 fs and pump_amplitude = 1e-308 leave the pump",
+        ),
+    ],
+)
+def test_spectra_that_cannot_be_sampled_name_their_keys(
+    tmp_path, capsys, text, message
+):
+    # 1e-305 used to write nan cells with exit 0 (stokes: blame tau), and
+    # 1e300 an all-zero Stokes spectrum
+    config = tmp_path / "run.conf"
+    config.write_text(text)
+    out = tmp_path / "out"
+    assert main(["pulses", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err and len(err) < 200
+    assert list(out.iterdir()) == []
+
+
+_PULSE_KEYS = (
+    "pump_duration", "stokes_duration", "probe_duration",
+    "pump_amplitude", "stokes_amplitude",
+)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    st.dictionaries(
+        st.sampled_from(_PULSE_KEYS),
+        st.one_of(
+            st.sampled_from([1e-308, 1e-305, 1e-303, 1e300, 1e308]),
+            st.floats(-308.0, 308.0).map(lambda exponent: 10.0**exponent),
+        ),
+        min_size=1,
+    )
+)
+def test_pulses_exit_zero_only_with_finite_nonzero_spectra(values):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp, "run.conf")
+        config.write_text("".join(f"{key} = {v!r}\n" for key, v in values.items()))
+        out = Path(tmp, "out")
+        stderr = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+            code = main(["pulses", "--config", str(config), "--out", str(out)])
+        if code == 1:
+            assert any(key in stderr.getvalue() for key in _PULSE_KEYS)
+            return
+        assert code == 0, stderr.getvalue()
+        for path in out.iterdir():
+            _, rows = _read_csv(path)
+            cells = np.array(rows, dtype=float)
+            assert np.isfinite(cells).all()
+            assert np.abs(cells[:, 1:]).max() > 0.0, path.name
 
 
 # Runs each subcommand of a {name: (argv, config text)} JSON argument in

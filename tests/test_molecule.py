@@ -16,7 +16,7 @@ from carsdj.molecule import (
     IODINE_X,
     _cached_model,
     build_model,
-    fc_window_score,
+    checked_window,
     transition_wavenumber,
     vibrational_period,
     with_equalized_fc,
@@ -120,16 +120,14 @@ def test_vibrational_periods(model):
 def test_window_scores_peak_at_the_central_level(model):
     expectations = {(20, 23): 1.1001, (19, 24): 1.2772, (18, 25): 1.6232}
     for window, ratio in expectations.items():
-        scores = fc_window_score(model, 4, window)
-        assert scores.shape == (window[1] - window[0] + 1, 2)
-        assert int(scores[np.argmax(scores[:, 1]), 0]) == 22
-        assert scores[:, 1].max() / scores[:, 1].min() == pytest.approx(
-            ratio, abs=1e-3
-        )
+        ws = np.arange(window[0], window[1] + 1)
+        scores = np.abs(model.fc[ws, 0] * model.fc[ws, 4])
+        assert int(ws[np.argmax(scores)]) == 22
+        assert scores.max() / scores.min() == pytest.approx(ratio, abs=1e-3)
     with pytest.raises(ValueError, match="window"):
-        fc_window_score(model, 4, (30, 45))
+        checked_window(model, (30, 45), 4)
     with pytest.raises(ValueError, match="target level"):
-        fc_window_score(model, 60, (20, 23))
+        checked_window(model, (20, 23), 60)
 
 
 def test_equalized_overlaps(model):
