@@ -138,6 +138,29 @@ def _s_n_table(n: int) -> np.ndarray:
     return s
 
 
+class _Selection(NamedTuple):
+    """What the metrics read of the functions on n points, beyond their
+    signals; the constant functions are always columns 0 and 2^n - 1."""
+
+    balanced: np.ndarray
+    centred_ideal: np.ndarray
+    degenerate: bool
+
+
+@lru_cache(maxsize=_MAX_ENUMERATION_N)
+def _selection(n: int) -> _Selection:
+    """Read-only indices of the balanced functions on n points, and |S_N|
+    of every function minus its mean, as ``np.corrcoef`` centres it;
+    degenerate when |S_N| has no spread (n = 1)."""
+    s = _s_n_table(n)
+    ideal = np.abs(s).astype(float)
+    balanced = np.flatnonzero(s == 0)
+    centred = ideal - ideal.mean()
+    for array in (balanced, centred):
+        array.flags.writeable = False
+    return _Selection(balanced, centred, bool(np.ptp(ideal) == 0.0))
+
+
 @dataclass(frozen=True)
 class RunOptions:
     """Knobs for one classification run.
@@ -426,20 +449,20 @@ def _enumerated_sums(z: np.ndarray) -> np.ndarray:
     """sum_k (-1)^f(k) z[t, k] of every function f, shape (T, 2^n).
 
     Prefix doubling: after step k the first 2^(k+1) columns hold the
-    sums over bits 0..k, and column i + 2^k is column i minus z_k.
-    Every sum is still ((0 +- z_0) +- z_1) +- ..., term by term in window
-    order as ``apply_stokes`` sums, because a - b equals a + (-b) in
-    IEEE arithmetic; a matrix product or a Gray-code walk would reorder
-    or reuse sums and move the last digits.
+    sums over bits 0..k: one broadcast add of (+z_k, -z_k) to the first
+    2^k turns column i into column i + z_k and makes column i + 2^k
+    column i - z_k.  Every sum is still ((0 +- z_0) +- z_1) +- ..., term
+    by term in window order as ``apply_stokes`` sums, because a + (-b)
+    equals a - b in IEEE arithmetic; a matrix product or a Gray-code walk
+    would reorder or reuse sums and move the last digits.
     """
     t, n = z.shape
-    acc = np.zeros((t, 2**n), dtype=complex)
+    pm = z.T[:, :, None, None]
+    pm = np.concatenate([pm, -pm], axis=2)
+    acc = np.zeros((t, 1, 1), dtype=complex)
     for k in range(n):
-        h = 1 << k
-        term = z[:, k, None]
-        np.subtract(acc[:, :h], term, out=acc[:, h : 2 * h])
-        acc[:, :h] += term
-    return acc
+        acc = (acc + pm[k]).reshape(t, 1, -1)
+    return acc.reshape(t, -1)
 
 
 def all_outcomes(
@@ -484,15 +507,15 @@ def distinguishability(outcomes: Outcomes) -> float:
     phase; that equality is checked here, and the larger value is used
     as the reference.
     """
-    s_n = outcomes.s_n
-    constants = outcomes.signals[np.abs(s_n) == outcomes.n]
-    balanced = outcomes.signals[s_n == 0]
+    signals = outcomes.signals
+    balanced = signals[_selection(outcomes.n).balanced]
     if balanced.size == 0:
         raise ValueError("need at least one balanced-function outcome")
-    reference = constants.max()
+    first, last = signals[0], signals[-1]
+    reference = np.maximum(first, last)
     if reference <= 0.0:
         raise ValueError("constant-function signal vanished; D undefined")
-    if constants.min() < reference * (1.0 - 1e-9):
+    if np.minimum(first, last) < reference * (1.0 - 1e-9):
         raise ValueError(
             "the two constant-function signals disagree beyond rounding; "
             "the outcome set is inconsistent"
@@ -502,14 +525,31 @@ def distinguishability(outcomes: Outcomes) -> float:
 
 def pearson_r(outcomes: Outcomes) -> float:
     """Correlation between measured signals and |S_N| over the outcomes,
-    computed on the signals divided by their maximum."""
-    ideal = np.abs(outcomes.s_n).astype(float)
+    computed on the signals divided by their maximum.
+
+    The arithmetic of ``np.corrcoef``, step for step: centre both rows of
+    one (2, 2^n) array, take their products in its one ``dot`` with the
+    transpose, scale by 1 / (2^n - 1), divide c01 by both deviations in
+    turn and clip to [-1, 1].
+    """
+    selection = _selection(outcomes.n)
     signals = outcomes.signals
-    if np.ptp(ideal) == 0.0 or np.ptp(signals) == 0.0:
+    top = signals.max()
+    if selection.degenerate or top - signals.min() == 0.0:
         raise ValueError("degenerate outcome set; correlation undefined")
     # r does not depend on scale; squares of raw signals near 1e+-160
-    # would under- or overflow inside corrcoef.
-    return float(np.corrcoef(signals / signals.max(), ideal)[0, 1])
+    # would under- or overflow in the products.
+    x = np.empty((2, signals.size))
+    np.divide(signals, top, out=x[0])
+    x[0] -= x[0].mean()
+    x[1] = selection.centred_ideal
+    # x with its own transpose reaches the BLAS routine np.cov reaches; a
+    # copy would take another one and move the last bits.
+    c = np.dot(x, x.T)
+    c *= np.true_divide(1, signals.size - 1)
+    r = float(c[0, 1] / np.sqrt(c[0, 0]) / np.sqrt(c[1, 1]))
+    # min/max keep a nan, as np.clip does.
+    return min(max(r, -1.0), 1.0)
 
 
 # Standard benchmark rows: three window sizes plus the tailored variant

@@ -548,7 +548,7 @@ def _cmd_fc(config: ExperimentConfig, args) -> Iterator[Table]:
 
 def _spectrum_grid(pulse: PulseSpec, key: str) -> np.ndarray:
     """Wavenumbers a pulse's spectrum is written at; ConfigError naming
-    ``{key}_duration`` unless their span is finite."""
+    ``{key}_duration`` unless their span is finite and they strictly ascend."""
     width = 4.0 * pulse.bandwidth_fwhm
     lo = pulse.center - width
     hi = pulse.center + width
@@ -560,7 +560,13 @@ def _spectrum_grid(pulse: PulseSpec, key: str) -> np.ndarray:
             f"{key}_duration = {pulse.duration_fwhm:.4g} fs is too short: its "
             "spectrum is too wide to sample in floating point"
         )
-    return np.linspace(lo, hi, _SPECTRUM_POINTS)
+    nu = np.linspace(lo, hi, _SPECTRUM_POINTS)
+    if not (np.diff(nu) > 0.0).all():
+        raise ConfigError(
+            f"{key}_duration = {pulse.duration_fwhm:.4g} fs is too long: its "
+            f"spectrum is too narrow to sample around {pulse.center:.4g} cm^-1"
+        )
+    return nu
 
 
 def _spectrum(
@@ -621,13 +627,16 @@ def _check_lines(
         )
 
 
-def _check_phase(config: ExperimentConfig, key: str, tau_b: float, nu: float) -> None:
-    """ConfigError unless the largest delay under ``key`` keeps 2 pi c nu tau finite."""
+def _check_phase(
+    config: ExperimentConfig, key: str, tau_b: float, nu: float, grid: str = ""
+) -> None:
+    """ConfigError unless the largest delay under ``key`` keeps 2 pi c nu tau
+    finite; ``grid`` names what set nu, when it is not a transition."""
     multiple = float(np.max(getattr(config, key)))
     if not np.isfinite(TWO_PI_C * float(nu) * (multiple * tau_b)):
         raise ConfigError(
             f"{key} = {multiple:g} is too large: the delay of "
-            f"{multiple * tau_b:g} fs overflows the phase at {nu:.1f} cm^-1"
+            f"{multiple * tau_b:g} fs overflows the phase at {nu:.4g} cm^-1{grid}"
         )
 
 
@@ -644,8 +653,10 @@ def _cmd_pulses(config: ExperimentConfig, args) -> Iterator[Table]:
     options = config.run_options()
     designs = [design_pulses(model, window, f.bits, options, delay) for f in masks]
     # The Stokes spectra are sampled beyond the transitions.
-    stokes_nu = _spectrum_grid(designs[0][1], "stokes")
-    _check_phase(config, "tau", tau_b, np.abs(stokes_nu).max())
+    stokes = designs[0][1]
+    stokes_nu = _spectrum_grid(stokes, "stokes")
+    grid = f" on the spectrum of stokes_duration = {stokes.duration_fwhm:.4g} fs"
+    _check_phase(config, "tau", tau_b, np.abs(stokes_nu).max(), grid)
     probe = design_probe(model, probe_level, config.v_target, config.probe_duration)
     if config.flat:
         probe = replace(probe, flat=True)

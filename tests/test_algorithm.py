@@ -383,6 +383,35 @@ def _reference_metrics(functions, signals):
     return d, r
 
 
+def _reference_distinguishability(outcomes):
+    """D by boolean masks over S_N: the body the per-n selection table
+    replaced, kept as its reference."""
+    s_n = outcomes.s_n
+    constants = outcomes.signals[np.abs(s_n) == outcomes.n]
+    balanced = outcomes.signals[s_n == 0]
+    if balanced.size == 0:
+        raise ValueError("need at least one balanced-function outcome")
+    reference = constants.max()
+    if reference <= 0.0:
+        raise ValueError("constant-function signal vanished; D undefined")
+    if constants.min() < reference * (1.0 - 1e-9):
+        raise ValueError(
+            "the two constant-function signals disagree beyond rounding; "
+            "the outcome set is inconsistent"
+        )
+    return float(1.0 - balanced.max() / reference)
+
+
+def _reference_pearson_r(outcomes):
+    """r by ``np.corrcoef``: the body the inlined arithmetic replaced,
+    kept as its reference."""
+    ideal = np.abs(outcomes.s_n).astype(float)
+    signals = outcomes.signals
+    if np.ptp(ideal) == 0.0 or np.ptp(signals) == 0.0:
+        raise ValueError("degenerate outcome set; correlation undefined")
+    return float(np.corrcoef(signals / signals.max(), ideal)[0, 1])
+
+
 def test_array_metrics_equal_the_per_function_formulas(model):
     cells = [
         (n, RunOptions(w_window=window, tailored=tailored), _KERNEL_TAUS)
@@ -419,6 +448,105 @@ def test_doubling_kernel_equals_the_loop_bit_for_bit(z):
     n = z.shape[1]
     sums = _enumerated_sums(z)
     assert sums.tobytes() == _signal_sums(z, _bit_matrix(n)).tobytes()
+
+
+@st.composite
+def _signal_sets(draw):
+    """Outcomes on n = 1-16 points scaled by 1e-300 to 1e300: random,
+    tied, partly zero or all equal, or with disagreeing or vanished
+    constants."""
+    n = draw(st.sampled_from(range(1, 17)))
+    kind = draw(
+        st.sampled_from(["random", "ties", "zeros", "equal", "disagree", "vanished"])
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = 2**n
+    if kind == "equal":
+        signals = np.full(size, rng.random())
+    elif kind == "ties":
+        signals = rng.integers(0, 3, size).astype(float)
+    else:
+        signals = rng.random(size)
+    if kind == "zeros":
+        signals[rng.random(size) < 0.5] = 0.0
+    # the constant pair agrees, as complements do, unless drawn otherwise
+    signals[-1] = signals[0]
+    if kind == "disagree":
+        signals[-1] = signals[0] * draw(st.sampled_from([0.5, 1 - 1e-8, 1 - 1e-10, 2.0]))
+    elif kind == "vanished":
+        signals[0] = signals[-1] = 0.0
+    signals *= 10.0 ** draw(st.integers(-300, 300))
+    return _outcomes(signals)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_signal_sets())
+def test_metrics_equal_their_reference_bodies(outcomes):
+    for metric, reference in (
+        (distinguishability, _reference_distinguishability),
+        (pearson_r, _reference_pearson_r),
+    ):
+        try:
+            expected = reference(outcomes)
+        except ValueError as error:
+            with pytest.raises(ValueError) as raised:
+                metric(outcomes)
+            assert str(raised.value) == str(error)
+        else:
+            assert metric(outcomes) == expected
+
+
+def test_selection_tables_are_read_only_with_the_constants_at_the_ends():
+    for n in range(1, 17):
+        table = algorithm._selection(n)
+        s = algorithm._s_n_table(n)
+        assert algorithm._selection(n) is table
+        assert np.array_equal(table.balanced, np.flatnonzero(s == 0))
+        assert np.array_equal(np.flatnonzero(np.abs(s) == n), [0, 2**n - 1])
+        assert table.degenerate == (n == 1)
+        for array in (table.balanced, table.centred_ideal):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
+
+def test_correlation_does_not_call_corrcoef(model, monkeypatch):
+    outs = all_outcomes(model, 8, 1.0)
+    expected = _reference_pearson_r(outs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.corrcoef was called")
+
+    monkeypatch.setattr(np, "corrcoef", refuse)
+    assert pearson_r(outs) == expected
+
+
+def test_the_paper_claim_holds_as_orderings_and_signs(model):
+    # the 48-cell grid: n = 2, 4, ..., 16 on default windows, plain and
+    # tailored, at 0, 1 and 2 periods
+    ns = range(2, 17, 2)
+    d = {
+        (n, tailored, tau): distinguishability(
+            all_outcomes(model, n, tau, RunOptions(tailored=tailored))
+        )
+        for n in ns
+        for tailored in (False, True)
+        for tau in (0.0, 1.0, 2.0)
+    }
+    # equalised overlaps beat the plain window at zero delay
+    assert all(d[n, True, 0.0] > d[n, False, 0.0] for n in ns if n >= 4)
+    # the plain contrast at zero delay falls with every added level
+    plain = [d[n, False, 0.0] for n in ns]
+    assert all(a > b for a, b in zip(plain, plain[1:]))
+    # contrast decays with delay in every row
+    for n in ns:
+        for tailored in (False, True):
+            assert d[n, tailored, 0.0] > d[n, tailored, 1.0] > d[n, tailored, 2.0]
+    # at two periods the balanced functions outshine the constants from
+    # n = 12 on, and tailoring hurts from n = 8 on
+    for tailored in (False, True):
+        assert all((d[n, tailored, 2.0] < 0.0) == (n >= 12) for n in ns if n >= 10)
+    assert all(d[n, True, 2.0] < d[n, False, 2.0] for n in ns if n >= 8)
 
 
 def test_signed_sums_are_one_read_only_table_per_n():

@@ -611,13 +611,21 @@ def test_table1_refuses_tailored(tmp_path, capsys):
             "pump_amplitude = 1e-308\n",
             "pump_duration = 30 fs and pump_amplitude = 1e-308 leave the pump",
         ),
+        ("pump_duration = 1e300\n", "pump_duration = 1e+300 fs is too long"),
+        ("probe_duration = 1e300\n", "probe_duration = 1e+300 fs is too long"),
+        (
+            "stokes_duration = 1e-303\ntau = 100\n",
+            "tau = 100 is too large: the delay of 38738.5 fs overflows the phase "
+            "at 5.888e+307 cm^-1 on the spectrum of stokes_duration = 1e-303 fs",
+        ),
     ],
 )
 def test_spectra_that_cannot_be_sampled_name_their_keys(
     tmp_path, capsys, text, message
 ):
-    # 1e-305 used to write nan cells with exit 0 (stokes: blame tau), and
-    # 1e300 an all-zero Stokes spectrum
+    # 1e-305 used to write nan cells with exit 0 (stokes: blame tau), 1e300
+    # an all-zero Stokes spectrum or a pump/probe spectrum at one
+    # wavenumber, and the Stokes grid's overflow a 300-digit wavenumber
     config = tmp_path / "run.conf"
     config.write_text(text)
     out = tmp_path / "out"
@@ -661,6 +669,7 @@ def test_pulses_exit_zero_only_with_finite_nonzero_spectra(values):
             _, rows = _read_csv(path)
             cells = np.array(rows, dtype=float)
             assert np.isfinite(cells).all()
+            assert (np.diff(cells[:, 0]) > 0.0).all(), path.name
             assert np.abs(cells[:, 1:]).max() > 0.0, path.name
 
 
