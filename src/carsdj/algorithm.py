@@ -123,25 +123,11 @@ def enumerate_functions(n: int) -> list[BooleanFunction]:
     return [BooleanFunction(tuple((i >> k) & 1 for k in range(n))) for i in range(2**n)]
 
 
-@lru_cache(maxsize=_MAX_ENUMERATION_N)
-def _s_n_table(n: int) -> np.ndarray:
-    """Read-only S_N of every function on n points, in enumeration order.
-
-    Built by the same doubling as the signals: function i + 2^k differs
-    from function i < 2^k only in bit k, so each step appends s - 1 to
-    s + 1.
-    """
-    s = np.zeros(1, dtype=np.int64)
-    for _ in range(n):
-        s = np.concatenate([s + 1, s - 1])
-    s.flags.writeable = False
-    return s
-
-
 class _Selection(NamedTuple):
-    """What the metrics read of the functions on n points, beyond their
-    signals; the constant functions are always columns 0 and 2^n - 1."""
+    """What is read of the functions on n points beyond their signals;
+    the constant functions are always columns 0 and 2^n - 1."""
 
+    s_n: np.ndarray
     balanced: np.ndarray
     centred_ideal: np.ndarray
     degenerate: bool
@@ -149,16 +135,23 @@ class _Selection(NamedTuple):
 
 @lru_cache(maxsize=_MAX_ENUMERATION_N)
 def _selection(n: int) -> _Selection:
-    """Read-only indices of the balanced functions on n points, and |S_N|
-    of every function minus its mean, as ``np.corrcoef`` centres it;
-    degenerate when |S_N| has no spread (n = 1)."""
-    s = _s_n_table(n)
+    """Read-only S_N of every function on n points, in enumeration order,
+    the indices of the balanced functions, and |S_N| minus its mean, as
+    ``np.corrcoef`` centres it; degenerate when |S_N| has no spread (n = 1).
+
+    S_N is built by the same doubling as the signals: function i + 2^k
+    differs from function i < 2^k only in bit k, so each step appends
+    s - 1 to s + 1.
+    """
+    s = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        s = np.concatenate([s + 1, s - 1])
     ideal = np.abs(s).astype(float)
     balanced = np.flatnonzero(s == 0)
     centred = ideal - ideal.mean()
-    for array in (balanced, centred):
+    for array in (s, balanced, centred):
         array.flags.writeable = False
-    return _Selection(balanced, centred, bool(np.ptp(ideal) == 0.0))
+    return _Selection(s, balanced, centred, bool(np.ptp(ideal) == 0.0))
 
 
 @dataclass(frozen=True)
@@ -181,6 +174,11 @@ class RunOptions:
     stokes_amplitude: float = 1.0
     tailored: bool = False
     flat_envelopes: bool = False
+
+    def __post_init__(self) -> None:
+        # A tuple keeps the options hashable, so they can key a cache.
+        if self.w_window is not None:
+            object.__setattr__(self, "w_window", tuple(self.w_window))
 
     def resolved_window(self, n: int) -> tuple[int, int]:
         """The window of a run on n points; ValueError unless it holds n levels."""
@@ -240,7 +238,7 @@ class Outcomes:
     def s_n(self) -> np.ndarray:
         """Signed sum S_N of every function, in enumeration order; one
         read-only table per n."""
-        return _s_n_table(self.n)
+        return _selection(self.n).s_n
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,9 +364,6 @@ def _legs(model: VibronicModel, n: int, options: RunOptions) -> _Legs:
     the all-+1 Stokes design run on a miss only; the arrays returned are
     read-only and shared by every hit.  Failed runs are not cached.
     """
-    if options.w_window is not None and not isinstance(options.w_window, tuple):
-        # A list window would make the key unhashable.
-        options = replace(options, w_window=tuple(options.w_window))
     runs = _LEGS.setdefault(model, {})
     key = (n, options)
     legs = runs.get(key)
@@ -411,13 +406,19 @@ def channel_weights(
     ------
     ValueError
         If the window does not hold n retained upper levels,
-        ``v_target`` is not a retained lower level, the pulse amplitudes
-        overflow a weight or the bound sum_k |z[t, k]| of the signals it
-        feeds, or the amplitudes and durations leave every weight below
-        the normal float range.
+        ``v_target`` is not a retained lower level, a delay multiple
+        gives no finite delay, the pulse amplitudes overflow a weight or
+        the bound sum_k |z[t, k]| of the signals it feeds, or the
+        amplitudes and durations leave every weight below the normal
+        float range.
     """
     legs = _legs(model, n, options)
-    tau_fs = np.asarray(tau_multiples, dtype=float).reshape(-1) * legs.tau_b
+    multiples = np.asarray(tau_multiples, dtype=float).reshape(-1)
+    tau_fs = multiples * legs.tau_b
+    finite = np.isfinite(tau_fs)
+    if not finite.all():
+        bad = multiples[~finite][0]
+        raise ValueError(f"delay multiple {bad:g} gives no finite delay")
     # The equalisation leaves the transition wavenumbers alone.
     pump_leg = legs.c * evolution_phase(model, legs.ws, tau_fs[:, None])
     # Envelopes, overlaps and phases are at most 1 in size, so only the

@@ -839,17 +839,15 @@ def _load_config(args) -> ExperimentConfig:
             raise ConfigError(f"cannot read config file {args.config!r}: {exc}")
     config = parse_config(text)
     overrides: dict[str, object] = {}
-    for name in ("n", "tau"):
-        text = getattr(args, name)
+    for flag, name in (("n", "n"), ("tau", "tau"), ("out", "out_dir")):
+        text = getattr(args, flag)
         if text is not None:
             try:
                 overrides[name] = _parse_value(name, text)
             except ValueError as exc:
-                raise ConfigError(f"invalid --{name}: {exc}") from None
+                raise ConfigError(f"invalid --{flag}: {exc}") from None
     if args.tailored:
         overrides["tailored"] = True
-    if args.out is not None:
-        overrides["out_dir"] = args.out
     if overrides:
         config = replace(config, **overrides)
     _validate_cross(config)

@@ -43,7 +43,8 @@ class VibronicModel:
     """Bound states of both curves plus the Franck-Condon overlap matrix.
 
     Equality and hash are by identity: the fields hold arrays, and
-    per-model caches key on the object.
+    per-model caches key on the object.  Every array is read-only, so
+    nothing cached on a model can go stale.
 
     Attributes
     ----------
@@ -64,6 +65,12 @@ class VibronicModel:
     fc: np.ndarray
     t_e: float
     reduced_mass: float
+
+    def __post_init__(self) -> None:
+        for sol in (self.x_states, self.b_states):
+            sol.energies.flags.writeable = False
+            sol.wavefunctions.flags.writeable = False
+        self.fc.flags.writeable = False
 
     @property
     def n_x(self) -> int:
@@ -190,16 +197,10 @@ def _cached_model(
 ) -> VibronicModel:
     x_sol = _solve_curve(x_params, grid, reduced_mass, n_x, "x")
     b_sol = _solve_curve(b_params, grid, reduced_mass, n_b, "b")
-    fc = b_sol.wavefunctions @ x_sol.wavefunctions.T
-    # A cached model is shared by every caller, so none may write to it.
-    for sol in (x_sol, b_sol):
-        sol.energies.flags.writeable = False
-        sol.wavefunctions.flags.writeable = False
-    fc.flags.writeable = False
     return VibronicModel(
         x_states=x_sol,
         b_states=b_sol,
-        fc=fc,
+        fc=b_sol.wavefunctions @ x_sol.wavefunctions.T,
         t_e=b_params.t_e - x_params.t_e,
         reduced_mass=reduced_mass,
     )

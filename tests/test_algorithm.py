@@ -499,7 +499,7 @@ def test_metrics_equal_their_reference_bodies(outcomes):
 def test_selection_tables_are_read_only_with_the_constants_at_the_ends():
     for n in range(1, 17):
         table = algorithm._selection(n)
-        s = algorithm._s_n_table(n)
+        s = algorithm._selection(n).s_n
         assert algorithm._selection(n) is table
         assert np.array_equal(table.balanced, np.flatnonzero(s == 0))
         assert np.array_equal(np.flatnonzero(np.abs(s) == n), [0, 2**n - 1])
@@ -575,6 +575,16 @@ def test_overflowing_amplitudes_are_refused(model):
     # 1e300 on the pump alone keeps every weight and signal finite
     outs = all_outcomes(model, 4, 1.0, RunOptions(pump_amplitude=1e300))
     assert np.isfinite(outs.signals).all()
+
+
+@pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_delay_is_named(model, tau):
+    # nan once blamed the amplitudes, and inf warned in the phase
+    message = f"delay multiple {tau:g} gives no finite delay"
+    with pytest.raises(ValueError, match=message):
+        all_outcomes(model, 4, tau)
+    with pytest.raises(ValueError, match=message):
+        sweep_delay(model, BooleanFunction((0, 1, 1, 0)), np.array([0.0, tau]))
 
 
 def _run_bytes(get_model, n, taus, options):
@@ -674,6 +684,9 @@ def test_models_compare_and_hash_by_identity(model):
 
 
 def test_a_list_window_is_keyed_as_its_tuple(model):
+    listed = RunOptions(w_window=[18, 21])
+    assert listed == RunOptions(w_window=(18, 21))
+    assert hash(listed) == hash(RunOptions(w_window=(18, 21)))
     fresh = replace(model)
     as_list = all_outcomes(fresh, 4, 1.0, RunOptions(w_window=[18, 21]))
     as_tuple = all_outcomes(fresh, 4, 1.0, RunOptions(w_window=(18, 21)))

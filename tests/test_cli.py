@@ -350,6 +350,16 @@ def test_an_output_path_that_is_a_file_exits_with_code_one(tmp_path, capsys, sub
     assert afile.read_text() == "kept\n"
 
 
+def test_an_empty_out_flag_is_refused_as_an_empty_out_dir(
+    tmp_path, capsys, monkeypatch
+):
+    # "" once wrote into the working directory
+    monkeypatch.chdir(tmp_path)
+    assert main(["eigen", "--out", ""]) == 1
+    assert "invalid --out: out_dir must not be empty" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize(
     ("text", "command", "key"),
     [
@@ -461,7 +471,6 @@ def test_amplitudes_that_overflow_the_weights_exit_with_code_one(
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     ("text", "argv", "values"),
     [
@@ -489,7 +498,6 @@ def test_vanishing_weights_exit_with_code_one_naming_their_keys(
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     ("text", "command", "message"),
     [
@@ -595,7 +603,6 @@ def test_table1_refuses_tailored(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     ("text", "message"),
     [
@@ -641,7 +648,6 @@ _PULSE_KEYS = (
 )
 
 
-@pytest.mark.filterwarnings("error")
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(
     st.dictionaries(

@@ -8,7 +8,6 @@ import pytest
 
 from carsdj.algorithm import PERIOD_LEVEL
 from carsdj.constants import TWO_PI_C
-from carsdj.dvr import Grid, build_hamiltonian, solve_bound_states
 from carsdj.dynamics import (
     _ORACLE_STEP_FS,
     _ORACLE_WINDOW_SIGMAS,
@@ -20,7 +19,7 @@ from carsdj.dynamics import (
     signal_magnitude,
     time_domain_oracle,
 )
-from carsdj.molecule import VibronicModel, transition_wavenumber, vibrational_period
+from carsdj.molecule import transition_wavenumber, vibrational_period
 from carsdj.pulses import (
     PulseSpec,
     _unit_phase,
@@ -258,24 +257,10 @@ def test_emitted_line_tracks_the_target_amplitude(model):
     assert np.ptp(ratios) / ratios.mean() < 1e-6
 
 
-def test_equally_spaced_levels_revive_exactly_after_one_period():
+def test_equally_spaced_levels_revive_exactly_after_one_period(harmonic_model):
     # on a harmonic upper curve every coherence rephases after the period,
     # so the signal at one and two periods equals the zero-delay signal
-    k_x, k_b, mu = 500.0, 300.0, 20.0
-    g = Grid(-5.0, 5.4, 700)
-    lower = solve_bound_states(
-        build_hamiltonian(g, lambda r: 0.5 * k_x * r**2, mu), 12
-    )
-    upper = solve_bound_states(
-        build_hamiltonian(g, lambda r: 0.5 * k_b * (r - 0.35) ** 2, mu), 12
-    )
-    synth = VibronicModel(
-        x_states=lower,
-        b_states=upper,
-        fc=upper.wavefunctions @ lower.wavefunctions.T,
-        t_e=12000.0,
-        reduced_mass=mu,
-    )
+    synth = harmonic_model
     window, v_target = (4, 7), 2
     tau_b = vibrational_period(synth, "B", 5)
     assert tau_b == pytest.approx(1483.270712, abs=1e-4)

@@ -219,10 +219,14 @@ def test_a_changed_argument_misses_the_cache(changed):
     assert _cached_model.cache_info().misses == misses + 1
 
 
-def test_every_array_of_a_built_model_is_read_only(model):
-    for array in _model_arrays(model) + (model.nu,):
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 0.0
+def test_every_array_of_a_built_model_is_read_only(model, harmonic_model):
+    # per-model caches would go stale if any model, however it was made,
+    # let its arrays change in place
+    equalized = with_equalized_fc(model, (18, 21), 4)
+    for made in (model, equalized, replace(model), harmonic_model):
+        for array in _model_arrays(made) + (made.nu,):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
 
 
 def test_a_failing_build_is_not_cached():
