@@ -407,23 +407,24 @@ def channel_weights(
     ValueError
         If the window does not hold n retained upper levels,
         ``v_target`` is not a retained lower level, a delay multiple
-        gives no finite delay, the pulse amplitudes overflow a weight or
+        gives no finite phase, the pulse amplitudes overflow a weight or
         the bound sum_k |z[t, k]| of the signals it feeds, or the
         amplitudes and durations leave every weight below the normal
         float range.
     """
     legs = _legs(model, n, options)
     multiples = np.asarray(tau_multiples, dtype=float).reshape(-1)
-    tau_fs = multiples * legs.tau_b
-    finite = np.isfinite(tau_fs)
-    if not finite.all():
-        bad = multiples[~finite][0]
-        raise ValueError(f"delay multiple {bad:g} gives no finite delay")
-    # The equalisation leaves the transition wavenumbers alone.
-    pump_leg = legs.c * evolution_phase(model, legs.ws, tau_fs[:, None])
-    # Envelopes, overlaps and phases are at most 1 in size, so only the
-    # amplitudes can push a weight, or a signal, past the float range.
     with np.errstate(over="ignore", invalid="ignore"):
+        tau_fs = multiples * legs.tau_b
+        # The equalisation leaves the transition wavenumbers alone.
+        phase = evolution_phase(model, legs.ws, tau_fs[:, None])
+        finite = np.isfinite(phase).all(axis=1)
+        if not finite.all():
+            bad = multiples[~finite][0]
+            raise ValueError(f"delay multiple {bad:g} gives no finite delay phase")
+        pump_leg = legs.c * phase
+        # Envelopes, overlaps and phases are at most 1 in size, so only the
+        # amplitudes can push a weight, or a signal, past the float range.
         z = legs.stokes_leg * pump_leg
         magnitudes = np.abs(z)
         bounded = np.isfinite(magnitudes.sum(axis=1)).all()

@@ -92,6 +92,15 @@ class ConfigError(ValueError):
 
 _RUN_DEFAULTS = RunOptions()
 
+# Upper bounds that keep a run's arrays in memory: the dense Hamiltonian
+# of an 8192-point grid takes 512 MB, the channel weights of a
+# million-point sweep at n = 16 take 256 MB, and 10**5 oracle
+# configurations, all drawn before the first quadrature, take about 60 MB
+# and 8 minutes of quadrature.
+_MAX_GRID_POINTS = 8192
+_MAX_SWEEP_POINTS = 10**6
+_MAX_ORACLE_CONFIGS = 10**5
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -136,6 +145,59 @@ class ExperimentConfig:
     oracle_seed: int = 20260817
     dump_wavefunctions: bool = False
     out_dir: str = "out"
+
+    def __post_init__(self) -> None:
+        """Cross-key checks of every config, however made; ConfigError at the first."""
+        if self.r_min >= self.r_max:
+            raise ConfigError(
+                f"r_min ({self.r_min:g}) must be below r_max ({self.r_max:g})"
+            )
+        # A Morse curve is largest at an end of the grid.
+        ends = np.array([self.r_min, self.r_max])
+        # Sinc-basis momentum limit pi/dx of the finest grid n_points allows.
+        k_finest = np.pi * (_MAX_GRID_POINTS - 1) / (self.r_max - self.r_min)
+        for tag, params in (("x", self.x_params()), ("b", self.b_params())):
+            with np.errstate(over="ignore"):
+                finite = np.isfinite(morse_potential(params, ends)).all()
+            if not finite:
+                raise ConfigError(
+                    f"{tag}_d_e, {tag}_r_e and {tag}_beta make the Morse curve "
+                    f"overflow on the grid [{self.r_min:g}, {self.r_max:g}] angstrom"
+                )
+            # Closed-form ground level E0 = omega_e/2 - omega_e x_e/4: if even
+            # its momentum outruns the finest grid, no n_points can help.
+            w = harmonic_wavenumber(params, self.reduced_mass)
+            e0 = w / 2.0 - anharmonicity(params, self.reduced_mass) / 4.0
+            with np.errstate(invalid="ignore"):  # E0 < 0: the curve binds nothing
+                k0 = np.sqrt(2.0 * self.reduced_mass * e0 / HBARSQ_CM1_AMU_ANG2)
+            if k0 > k_finest:
+                raise ConfigError(
+                    f"{tag}_d_e, {tag}_beta and reduced_mass make the Morse well too "
+                    f"steep for any grid: its ground level's momentum {k0:.4g} "
+                    f"/angstrom exceeds pi/dx = {k_finest:.4g} /angstrom even at "
+                    f"n_points = {_MAX_GRID_POINTS}"
+                )
+        for key in ("n_x_states", "n_b_states"):
+            if getattr(self, key) > self.n_points:
+                raise ConfigError(
+                    f"{key} ({getattr(self, key)}) must not exceed n_points "
+                    f"({self.n_points})"
+                )
+        if (self.w_min is None) != (self.w_max is None):
+            raise ConfigError("w_min and w_max must be set together")
+        if self.w_min is not None and self.w_max < self.w_min:
+            raise ConfigError(
+                f"w_max ({self.w_max}) must be at least w_min ({self.w_min})"
+            )
+        try:
+            self.resolved_window()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        if self.v_target >= self.n_x_states:
+            raise ConfigError(
+                f"v_target ({self.v_target}) is not among the "
+                f"{self.n_x_states} requested lower levels"
+            )
 
     def x_params(self) -> MorseParams:
         return MorseParams(d_e=self.x_d_e, r_e=self.x_r_e, beta=self.x_beta)
@@ -247,12 +309,6 @@ def _check_out_dir(v: str) -> str | None:
     return None if v else "out_dir must not be empty"
 
 
-# Upper bounds that keep a run's arrays in memory: the dense Hamiltonian
-# of an 8192-point grid takes 512 MB, and the channel weights of a
-# million-point sweep at n = 16 take 256 MB.
-_MAX_GRID_POINTS = 8192
-_MAX_SWEEP_POINTS = 10**6
-
 # Range check of each key that has one; every key's value type is its
 # field annotation in ExperimentConfig.
 _CHECKS: dict[str, Callable] = {
@@ -272,7 +328,7 @@ _CHECKS: dict[str, Callable] = {
     "n_x_states": _at_least("n_x_states", 1),
     "n_b_states": _at_least("n_b_states", 1),
     "sweep_points": _at_least("sweep_points", 2, _MAX_SWEEP_POINTS),
-    "oracle_configs": _at_least("oracle_configs", 1),
+    "oracle_configs": _at_least("oracle_configs", 1, _MAX_ORACLE_CONFIGS),
     "n": _check_n,
     "tau": _check_tau,
     "out_dir": _check_out_dir,
@@ -340,66 +396,11 @@ def _parse_value(name: str, text: str):
     return value
 
 
-def _validate_cross(config: ExperimentConfig) -> None:
-    """Checks spanning several keys; raises ConfigError on the first failure."""
-    if config.r_min >= config.r_max:
-        raise ConfigError(
-            f"r_min ({config.r_min:g}) must be below r_max ({config.r_max:g})"
-        )
-    # A Morse curve is largest at an end of the grid.
-    ends = np.array([config.r_min, config.r_max])
-    # Sinc-basis momentum limit pi/dx of the finest grid n_points allows.
-    k_finest = np.pi * (_MAX_GRID_POINTS - 1) / (config.r_max - config.r_min)
-    for tag, params in (("x", config.x_params()), ("b", config.b_params())):
-        with np.errstate(over="ignore"):
-            finite = np.isfinite(morse_potential(params, ends)).all()
-        if not finite:
-            raise ConfigError(
-                f"{tag}_d_e, {tag}_r_e and {tag}_beta make the Morse curve "
-                f"overflow on the grid [{config.r_min:g}, {config.r_max:g}] angstrom"
-            )
-        # Closed-form ground level E0 = omega_e/2 - omega_e x_e/4: if even
-        # its momentum outruns the finest grid, no n_points can help.
-        w = harmonic_wavenumber(params, config.reduced_mass)
-        e0 = w / 2.0 - anharmonicity(params, config.reduced_mass) / 4.0
-        with np.errstate(invalid="ignore"):  # E0 < 0: the curve binds nothing
-            k0 = np.sqrt(2.0 * config.reduced_mass * e0 / HBARSQ_CM1_AMU_ANG2)
-        if k0 > k_finest:
-            raise ConfigError(
-                f"{tag}_d_e, {tag}_beta and reduced_mass make the Morse well too "
-                f"steep for any grid: its ground level's momentum {k0:.4g} /angstrom "
-                f"exceeds pi/dx = {k_finest:.4g} /angstrom even at n_points = "
-                f"{_MAX_GRID_POINTS}"
-            )
-    for key in ("n_x_states", "n_b_states"):
-        if getattr(config, key) > config.n_points:
-            raise ConfigError(
-                f"{key} ({getattr(config, key)}) must not exceed n_points "
-                f"({config.n_points})"
-            )
-    if (config.w_min is None) != (config.w_max is None):
-        raise ConfigError("w_min and w_max must be set together")
-    if config.w_min is not None and config.w_max < config.w_min:
-        raise ConfigError(
-            f"w_max ({config.w_max}) must be at least w_min ({config.w_min})"
-        )
-    try:
-        config.resolved_window()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    if config.v_target >= config.n_x_states:
-        raise ConfigError(
-            f"v_target ({config.v_target}) is not among the "
-            f"{config.n_x_states} requested lower levels"
-        )
-
-
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse flat key=value text into a validated configuration.
+def _parse_values(text: str) -> dict[str, object]:
+    """The values of the keys that flat key=value text sets.
 
     Unknown keys, malformed numbers, and per-key range violations are
-    reported with the offending line number.  Empty input yields the
-    full default setup.
+    reported with the offending line number.
     """
     values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -419,9 +420,12 @@ def parse_config(text: str) -> ExperimentConfig:
             values[name] = _parse_value(name, value_text)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
-    config = replace(ExperimentConfig(), **values)
-    _validate_cross(config)
-    return config
+    return values
+
+
+def parse_config(text: str) -> ExperimentConfig:
+    """Validated configuration of flat key=value text (empty: the defaults)."""
+    return ExperimentConfig(**_parse_values(text))
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +505,10 @@ def _parse_masks(text: str | None, n: int) -> list[BooleanFunction]:
             raise ConfigError(
                 f"mask {token!r} has {len(token)} bits for a domain of {n} points"
             )
-        masks.append(BooleanFunction(tuple(int(ch) for ch in token)))
+        f = BooleanFunction(tuple(int(ch) for ch in token))
+        if f in masks:
+            raise ConfigError(f"invalid --mask: duplicate mask {token!r}")
+        masks.append(f)
     return masks
 
 
@@ -837,21 +844,18 @@ def _load_config(args) -> ExperimentConfig:
             text = Path(args.config).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {args.config!r}: {exc}")
-    config = parse_config(text)
-    overrides: dict[str, object] = {}
+    # A flag replaces its key before the cross-key checks see either.
+    values = _parse_values(text)
     for flag, name in (("n", "n"), ("tau", "tau"), ("out", "out_dir")):
         text = getattr(args, flag)
         if text is not None:
             try:
-                overrides[name] = _parse_value(name, text)
+                values[name] = _parse_value(name, text)
             except ValueError as exc:
                 raise ConfigError(f"invalid --{flag}: {exc}") from None
     if args.tailored:
-        overrides["tailored"] = True
-    if overrides:
-        config = replace(config, **overrides)
-    _validate_cross(config)
-    return config
+        values["tailored"] = True
+    return ExperimentConfig(**values)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,6 +1,7 @@
 """Boolean encoding, outcome bookkeeping, and the fidelity metrics."""
 
 import gc
+import re
 import weakref
 from dataclasses import replace
 
@@ -577,10 +578,11 @@ def test_overflowing_amplitudes_are_refused(model):
     assert np.isfinite(outs.signals).all()
 
 
-@pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf, 2e305, 1e306, 1e308])
 def test_a_non_finite_delay_is_named(model, tau):
-    # nan once blamed the amplitudes, and inf warned in the phase
-    message = f"delay multiple {tau:g} gives no finite delay"
+    # nan once blamed the amplitudes, inf warned in the phase, and a huge
+    # finite multiple overflowed the delay or the phase before its check
+    message = re.escape(f"delay multiple {tau:g} gives no finite delay")
     with pytest.raises(ValueError, match=message):
         all_outcomes(model, 4, tau)
     with pytest.raises(ValueError, match=message):

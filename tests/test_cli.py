@@ -1,5 +1,6 @@
 """Command-line interface: config parsing, outputs, and exit codes."""
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -94,6 +95,50 @@ def test_config_cross_checks():
         parse_config("n_points = 16\n")
     with pytest.raises(ConfigError, match="n_b_states .* n_points"):
         parse_config("n_points = 30\nn_x_states = 30\n")
+
+
+def test_every_config_is_cross_checked_when_made():
+    # dataclasses.replace once skipped the checks that parse_config ran
+    with pytest.raises(ConfigError, match="w_min and w_max must be set together"):
+        dataclasses.replace(parse_config(""), w_min=20)
+    with pytest.raises(ConfigError, match="holds 6 levels for a domain of 4"):
+        cli.ExperimentConfig(w_min=18, w_max=23)
+
+
+def test_a_flag_replaces_its_key_before_the_cross_checks(tmp_path):
+    # the file's window alone fits no domain of 4 points; --n 6 rescues it
+    config = tmp_path / "run.conf"
+    config.write_text("w_min = 19\nw_max = 24\nsweep_points = 3\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(config), "--n", "6", "--out", str(out)]) == 0
+    header = _header_lines(out / "sweep_000000.csv")
+    assert "# n=6" in header and "# w_min=19" in header and "# w_max=24" in header
+
+
+def test_a_flag_that_breaks_the_file_window_is_refused(tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_text("n = 6\nw_min = 19\nw_max = 24\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(config), "--n", "4", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: window [19, 24] holds 6 levels for a domain of 4 points" in err
+    assert not out.exists()
+
+
+def test_a_malformed_flag_is_named_before_the_file_cross_checks(tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_text("w_min = 20\n")
+    assert main(["eigen", "--config", str(config), "--n", "5"]) == 1
+    assert "error: invalid --n: n must be even" in capsys.readouterr().err
+
+
+def test_oracle_configs_is_bounded():
+    # every configuration is drawn before the first quadrature
+    assert parse_config("oracle_configs = 100000\n").oracle_configs == 100000
+    with pytest.raises(
+        ConfigError, match="line 1: oracle_configs must be at most 100000, got 100001"
+    ):
+        parse_config("oracle_configs = 100001\n")
 
 
 def test_config_header_round_trips_through_the_parser(tmp_path):
@@ -538,6 +583,15 @@ def test_out_flag_overrides_the_config_directory(tmp_path):
     assert main(["eigen", "--config", str(config), "--out", str(target)]) == 0
     assert (target / "eigen_x.csv").exists()
     assert not (tmp_path / "ignored").exists()
+
+
+@pytest.mark.parametrize("command", ["pulses", "sweep"])
+def test_a_repeated_mask_is_refused(tmp_path, capsys, command):
+    # a repeat once computed and wrote the same file twice
+    out = tmp_path / "out"
+    assert main([command, "--mask", "0110,0101,0110", "--out", str(out)]) == 1
+    assert "error: invalid --mask: duplicate mask '0110'" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_configuration_problems_exit_with_code_one(tmp_path, capsys):

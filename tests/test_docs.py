@@ -1,9 +1,14 @@
-"""The documented usage runs: the README quick start and every demo."""
+"""The documented usage runs (the README quick start and every demo), and
+the README tables name every config key and subcommand."""
 
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
+
+from carsdj.cli import _COMMANDS, ExperimentConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -48,3 +53,19 @@ def test_readme_quick_start_and_demos_run(tmp_path):
     lines = run.stdout.splitlines()
     assert lines[1] == "True" and lines[3].startswith("D = ")
     assert sum(line.startswith("== demo") for line in lines) == 4
+
+
+def _table_names(heading: str) -> list[str]:
+    """The backquoted names in the first cell of each row of the first
+    table under a README heading."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split(f"\n{heading}\n", 1)[1]
+    rows = section.split("\n| --- |", 1)[1].split("\n\n", 1)[0].splitlines()[1:]
+    cells = [row.split("|")[1] for row in rows]
+    return [name for cell in cells for name in re.findall(r"`([^`]+)`", cell)]
+
+
+def test_readme_tables_name_every_config_key_and_subcommand():
+    keys = [field.name for field in fields(ExperimentConfig)]
+    assert _table_names("### Config files") == keys
+    assert _table_names("## Command-line tool") == list(_COMMANDS)
