@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import Field, dataclass, field, fields, replace
 from itertools import groupby
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
@@ -90,6 +90,67 @@ class ConfigError(ValueError):
     """Invalid configuration text, flag value, or key combination."""
 
 
+# Range rules: each takes a key's name and value and returns what is wrong
+# with the value, or None when it is in range.
+
+def _positive(name: str, v: float) -> str | None:
+    return None if v > 0 else f"{name} must be positive"
+
+
+def _nonnegative(name: str, v: float) -> str | None:
+    return None if v >= 0 else f"{name} must be nonnegative"
+
+
+def _at_least(bound: int, most: int | None = None) -> Callable[[str, int], str | None]:
+    def check(name: str, v: int) -> str | None:
+        if v < bound:
+            return f"{name} must be at least {bound}"
+        if most is not None and v > most:
+            return f"{name} must be at most {most}, got {v}"
+        return None
+
+    return check
+
+
+def _check_n(name: str, v: int) -> str | None:
+    lo, hi = min(DEFAULT_WINDOWS), max(DEFAULT_WINDOWS)
+    if v < lo or v > hi:
+        return f"{name} must be between {lo} and {hi}, got {v}"
+    if v not in DEFAULT_WINDOWS:
+        return f"{name} must be even (balanced functions need equal halves), got {v}"
+    return None
+
+
+def _check_tau(name: str, values: tuple[float, ...]) -> str | None:
+    if not values:
+        return f"{name} needs at least one delay multiple"
+    for v in values:
+        if v < 0:
+            return f"{name} must hold nonnegative delay multiples, got {v:g}"
+    return None
+
+
+def _check_out_dir(name: str, v: str) -> str | None:
+    if not v:
+        return f"{name} must not be empty"
+    if "\0" in v:
+        return f"{name} must not hold a NUL byte"
+    return None
+
+
+def _key(default: object, rule: Callable):
+    """Field of a config key: its default and its range rule."""
+    return field(default=default, metadata={"rule": rule})
+
+
+def _check_range(key: Field, value: object) -> None:
+    """ConfigError unless ``value`` is auto (None) or keeps ``key``'s range rule."""
+    rule = key.metadata.get("rule")
+    problem = None if rule is None or value is None else rule(key.name, value)
+    if problem is not None:
+        raise ConfigError(problem)
+
+
 _RUN_DEFAULTS = RunOptions()
 
 # Upper bounds that keep a run's arrays in memory: the dense Hamiltonian
@@ -107,47 +168,50 @@ class ExperimentConfig:
     """Fully resolved experiment description.
 
     Field order is the canonical key order of the config format and of
-    the header echoed into every output file, and each field's annotation
-    is its key's value type.  ``w_min``/``w_max`` and ``pump_duration``
-    accept the literal value ``auto`` (stored as None), which resolves to
-    the standard window for the domain size and to the calibrated pump
-    duration for the mode.
+    the header echoed into every output file; each field's annotation is
+    its key's value type and its ``rule`` metadata the key's range rule.
+    ``w_min``/``w_max`` and ``pump_duration`` accept the literal value
+    ``auto`` (stored as None), which resolves to the standard window for
+    the domain size and to the calibrated pump duration for the mode.
     """
 
-    x_d_e: float = IODINE_X.d_e
-    x_r_e: float = IODINE_X.r_e
-    x_beta: float = IODINE_X.beta
-    b_d_e: float = IODINE_B.d_e
-    b_r_e: float = IODINE_B.r_e
-    b_beta: float = IODINE_B.beta
-    b_t_e: float = IODINE_B.t_e
-    reduced_mass: float = IODINE_REDUCED_MASS
-    r_min: float = DEFAULT_GRID.r_min
-    r_max: float = DEFAULT_GRID.r_max
-    n_points: int = DEFAULT_GRID.n_points
-    n_x_states: int = DEFAULT_N_X
-    n_b_states: int = DEFAULT_N_B
-    n: int = 4
-    v_target: int = _RUN_DEFAULTS.v_target
-    w_min: int | None = None
-    w_max: int | None = None
-    tau: tuple[float, ...] = TABLE_TAUS
+    x_d_e: float = _key(IODINE_X.d_e, _positive)
+    x_r_e: float = _key(IODINE_X.r_e, _positive)
+    x_beta: float = _key(IODINE_X.beta, _positive)
+    b_d_e: float = _key(IODINE_B.d_e, _positive)
+    b_r_e: float = _key(IODINE_B.r_e, _positive)
+    b_beta: float = _key(IODINE_B.beta, _positive)
+    b_t_e: float = _key(IODINE_B.t_e, _nonnegative)
+    reduced_mass: float = _key(IODINE_REDUCED_MASS, _positive)
+    r_min: float = _key(DEFAULT_GRID.r_min, _positive)
+    r_max: float = _key(DEFAULT_GRID.r_max, _positive)
+    n_points: int = _key(DEFAULT_GRID.n_points, _at_least(16, _MAX_GRID_POINTS))
+    n_x_states: int = _key(DEFAULT_N_X, _at_least(1))
+    n_b_states: int = _key(DEFAULT_N_B, _at_least(1))
+    n: int = _key(4, _check_n)
+    v_target: int = _key(_RUN_DEFAULTS.v_target, _nonnegative)
+    w_min: int | None = _key(None, _nonnegative)
+    w_max: int | None = _key(None, _nonnegative)
+    tau: tuple[float, ...] = _key(TABLE_TAUS, _check_tau)
     tailored: bool = _RUN_DEFAULTS.tailored
     flat: bool = _RUN_DEFAULTS.flat_envelopes
-    pump_duration: float | None = _RUN_DEFAULTS.pump_duration
-    stokes_duration: float = _RUN_DEFAULTS.stokes_duration
-    probe_duration: float = DEFAULT_PROBE_DURATION
-    pump_amplitude: float = _RUN_DEFAULTS.pump_amplitude
-    stokes_amplitude: float = _RUN_DEFAULTS.stokes_amplitude
-    sweep_max_multiple: float = 2.5
-    sweep_points: int = 501
-    oracle_configs: int = 20
-    oracle_seed: int = 20260817
+    pump_duration: float | None = _key(_RUN_DEFAULTS.pump_duration, _positive)
+    stokes_duration: float = _key(_RUN_DEFAULTS.stokes_duration, _positive)
+    probe_duration: float = _key(DEFAULT_PROBE_DURATION, _positive)
+    pump_amplitude: float = _key(_RUN_DEFAULTS.pump_amplitude, _positive)
+    stokes_amplitude: float = _key(_RUN_DEFAULTS.stokes_amplitude, _positive)
+    sweep_max_multiple: float = _key(2.5, _positive)
+    sweep_points: int = _key(501, _at_least(2, _MAX_SWEEP_POINTS))
+    oracle_configs: int = _key(20, _at_least(1, _MAX_ORACLE_CONFIGS))
+    oracle_seed: int = _key(20260817, _nonnegative)
     dump_wavefunctions: bool = False
-    out_dir: str = "out"
+    out_dir: str = _key("out", _check_out_dir)
 
     def __post_init__(self) -> None:
-        """Cross-key checks of every config, however made; ConfigError at the first."""
+        """Every check of every config, however made: each key's range rule
+        in field order, then the cross-key checks; ConfigError at the first."""
+        for key in fields(self):
+            _check_range(key, getattr(self, key.name))
         if self.r_min >= self.r_max:
             raise ConfigError(
                 f"r_min ({self.r_min:g}) must be below r_max ({self.r_max:g})"
@@ -266,76 +330,9 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 # Config parsing
 
-def _positive(name: str) -> Callable[[float], str | None]:
-    return lambda v: None if v > 0 else f"{name} must be positive"
-
-
-def _nonnegative(name: str) -> Callable[[float], str | None]:
-    return lambda v: None if v >= 0 else f"{name} must be nonnegative"
-
-
-def _at_least(
-    name: str, bound: int, most: int | None = None
-) -> Callable[[int], str | None]:
-    def check(v: int) -> str | None:
-        if v < bound:
-            return f"{name} must be at least {bound}"
-        if most is not None and v > most:
-            return f"{name} must be at most {most}, got {v}"
-        return None
-
-    return check
-
-
-def _check_n(v: int) -> str | None:
-    lo, hi = min(DEFAULT_WINDOWS), max(DEFAULT_WINDOWS)
-    if v < lo or v > hi:
-        return f"n must be between {lo} and {hi}, got {v}"
-    if v not in DEFAULT_WINDOWS:
-        return f"n must be even (balanced functions need equal halves), got {v}"
-    return None
-
-
-def _check_tau(values: tuple[float, ...]) -> str | None:
-    if not values:
-        return "tau needs at least one delay multiple"
-    for v in values:
-        if v < 0:
-            return f"delay multiples must be nonnegative, got {v:g}"
-    return None
-
-
-def _check_out_dir(v: str) -> str | None:
-    return None if v else "out_dir must not be empty"
-
-
-# Range check of each key that has one; every key's value type is its
-# field annotation in ExperimentConfig.
-_CHECKS: dict[str, Callable] = {
-    **{
-        key: _positive(key)
-        for key in (
-            "x_d_e", "x_r_e", "x_beta", "b_d_e", "b_r_e", "b_beta", "reduced_mass",
-            "r_min", "r_max", "pump_duration", "stokes_duration", "probe_duration",
-            "pump_amplitude", "stokes_amplitude", "sweep_max_multiple",
-        )
-    },
-    **{
-        key: _nonnegative(key)
-        for key in ("b_t_e", "v_target", "w_min", "w_max", "oracle_seed")
-    },
-    "n_points": _at_least("n_points", 16, _MAX_GRID_POINTS),
-    "n_x_states": _at_least("n_x_states", 1),
-    "n_b_states": _at_least("n_b_states", 1),
-    "sweep_points": _at_least("sweep_points", 2, _MAX_SWEEP_POINTS),
-    "oracle_configs": _at_least("oracle_configs", 1, _MAX_ORACLE_CONFIGS),
-    "n": _check_n,
-    "tau": _check_tau,
-    "out_dir": _check_out_dir,
-}
-
-# Annotation text of each key (annotations are postponed, so strings).
-_KEY_TYPES: dict[str, str] = {f.name: f.type for f in fields(ExperimentConfig)}
+# Field of each key: its annotation text (annotations are postponed, so
+# strings) is the value type, its metadata the range rule.
+_KEYS: dict[str, Field] = {key.name: key for key in fields(ExperimentConfig)}
 
 
 def _parse_float(text: str) -> float:
@@ -382,17 +379,13 @@ _PARSERS: dict[str, Callable[[str], object]] = {
 
 def _parse_value(name: str, text: str):
     """Convert and range-check one value; raises ValueError with a message."""
-    kind = _KEY_TYPES[name]
+    kind = _KEYS[name].type
     if kind.endswith(" | None"):
         if text.lower() == "auto":
             return None
         kind = kind.removesuffix(" | None")
     value = _PARSERS[kind](text)
-    check = _CHECKS.get(name)
-    if check is not None:
-        problem = check(value)
-        if problem is not None:
-            raise ValueError(problem)
+    _check_range(_KEYS[name], value)
     return value
 
 
@@ -412,7 +405,7 @@ def _parse_values(text: str) -> dict[str, object]:
         name, _, value_text = line.partition("=")
         name = name.strip()
         value_text = value_text.strip()
-        if name not in _KEY_TYPES:
+        if name not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {name!r}")
         if name in values:
             raise ConfigError(f"line {lineno}: duplicate key {name!r}")
@@ -586,7 +579,7 @@ def _spectrum(
     amp = spectral_amplitude(pulse, nu)
     if not np.abs(amp).max() >= np.finfo(float).tiny:
         keys = f"{key}_duration = {pulse.duration_fwhm:.4g} fs"
-        if f"{key}_amplitude" in _KEY_TYPES:
+        if f"{key}_amplitude" in _KEYS:
             keys += f" and {key}_amplitude = {pulse.amplitude:.4g}"
         raise ConfigError(
             f"{keys} leave the {key} spectrum below the float range at every "
@@ -703,6 +696,12 @@ def _cmd_table1(config: ExperimentConfig, args) -> Iterator[Table]:
         raise ConfigError(
             "tailored = true does not apply to table1: every row sets its own "
             "tailored (n = 8 runs both), so it would change only the header"
+        )
+    sizes = sorted({n for n, _ in TABLE_ROWS})
+    if config.n not in sizes:
+        raise ConfigError(
+            f"n = {config.n} does not apply to table1: its rows run n = "
+            f"{', '.join(map(str, sizes))}, so it would change only the header"
         )
     options = config.run_options()
     windows = (row_options(options, n, t).resolved_window(n) for n, t in TABLE_ROWS)

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import carsdj.cli as cli
@@ -103,6 +104,80 @@ def test_every_config_is_cross_checked_when_made():
         dataclasses.replace(parse_config(""), w_min=20)
     with pytest.raises(ConfigError, match="holds 6 levels for a domain of 4"):
         cli.ExperimentConfig(w_min=18, w_max=23)
+
+
+def _problem(make) -> str | None:
+    """The ConfigError message of ``make()``, or None when it succeeds."""
+    try:
+        make()
+    except ConfigError as exc:
+        return str(exc)
+    return None
+
+
+def _config_text(value) -> str:
+    """A config file's text of one value."""
+    if value is None:
+        return "auto"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ",".join(map(repr, value))
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+# Values of each annotation, in and out of every key's range; out_dir's
+# alphabet avoids whitespace and '#', which the file format strips.
+_VALUES = {
+    "float": _FLOATS | st.sampled_from([0.0, -1.0, 1e-300]),
+    "int": st.integers(-(10**6), 10**12) | st.integers(-3, 20),
+    "bool": st.booleans(),
+    "tuple[float, ...]": st.lists(_FLOATS, max_size=3).map(tuple),
+    "str": st.text(alphabet="ab/.\0", max_size=4),
+}
+
+
+def _key_values(key: dataclasses.Field):
+    """A key's name and a value of its annotation (None too for an auto key)."""
+    kind = key.type.removesuffix(" | None")
+    values = _VALUES[kind]
+    if kind != key.type:
+        values |= st.none()
+    return st.tuples(st.just(key.name), values)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.sampled_from(dataclasses.fields(cli.ExperimentConfig)).flatmap(_key_values))
+@example(("oracle_configs", 10**9))
+@example(("out_dir", ""))
+@example(("out_dir", "a\0b"))
+@example(("tau", ()))
+@example(("tau", (-1.0,)))
+@example(("pump_amplitude", -1.0))
+@example(("n_points", 8193))
+def test_a_config_made_by_hand_is_checked_as_the_parser_checks_it(item):
+    # a config made by hand once skipped every per-key range rule
+    key, value = item
+    by_hand = _problem(lambda: cli.ExperimentConfig(**{key: value}))
+    parsed = _problem(lambda: parse_config(f"{key} = {_config_text(value)}\n"))
+    assert by_hand == (parsed and parsed.removeprefix("line 1: "))
+    if parsed is not None and parsed.startswith("line 1: "):
+        assert re.search(rf"\b{key}\b", by_hand), by_hand
+
+
+def test_a_replaced_config_is_range_checked():
+    with pytest.raises(ConfigError, match="^tau needs at least one delay multiple$"):
+        dataclasses.replace(parse_config(""), tau=())
+
+
+def test_an_out_dir_with_a_nul_byte_is_named(tmp_path, capsys):
+    # it once ended in "error: embedded null byte", naming no key
+    config = tmp_path / "run.conf"
+    config.write_text("out_dir = a\0b\n")
+    assert main(["eigen", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: line 1: out_dir must not hold a NUL byte\n"
 
 
 def test_a_flag_replaces_its_key_before_the_cross_checks(tmp_path):
@@ -335,15 +410,24 @@ def test_table1_keeps_a_configured_window_to_its_own_row(tmp_path, model):
 
 
 def test_table1_needs_only_the_levels_its_rows_run(tmp_path, capsys):
-    # no row has n = 16, so its window (14, 29) is never run; the rows'
-    # default windows reach upper level 25
+    # the rows' default windows reach upper level 25, the n = 8 rows' (18, 25)
     config = tmp_path / "run.conf"
-    config.write_text("n = 16\nn_b_states = 28\n")
+    config.write_text("n = 4\nn_b_states = 28\n")
     assert main(["table1", "--config", str(config), "--out", str(tmp_path)]) == 0
-    config.write_text("n = 16\nn_b_states = 25\n")
+    config.write_text("n = 4\nn_b_states = 25\n")
     assert main(["table1", "--config", str(config), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert "needs upper level 25, but n_b_states = 25" in err
+
+
+@pytest.mark.parametrize("n", [2, 10, 12, 14, 16])
+def test_table1_refuses_a_domain_size_no_row_runs(tmp_path, capsys, n):
+    # n = 16 once exited 0 echoing n = 16 and the window (14, 29), which no row ran
+    out = tmp_path / "out"
+    assert main(["table1", "--n", str(n), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: n = {n} does not apply to table1: its rows run n = 4, 6, 8" in err
+    assert list(out.iterdir()) == []
 
 
 def test_oracle_check_passes_on_a_small_sample(tmp_path):

@@ -1,5 +1,6 @@
 """The documented usage runs (the README quick start and every demo), and
-the README tables name every config key and subcommand."""
+the README tables name every config key and subcommand and give every
+key's default."""
 
 import os
 import re
@@ -8,7 +9,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from carsdj.cli import _COMMANDS, ExperimentConfig
+from carsdj.cli import _COMMANDS, ExperimentConfig, parse_config
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -55,13 +56,18 @@ def test_readme_quick_start_and_demos_run(tmp_path):
     assert sum(line.startswith("== demo") for line in lines) == 4
 
 
-def _table_names(heading: str) -> list[str]:
-    """The backquoted names in the first cell of each row of the first
-    table under a README heading."""
+def _table_rows(heading: str) -> list[list[str]]:
+    """The cells of each row of the first table under a README heading."""
     readme = (ROOT / "README.md").read_text()
     section = readme.split(f"\n{heading}\n", 1)[1]
     rows = section.split("\n| --- |", 1)[1].split("\n\n", 1)[0].splitlines()[1:]
-    cells = [row.split("|")[1] for row in rows]
+    return [row.split("|")[1:-1] for row in rows]
+
+
+def _table_names(heading: str) -> list[str]:
+    """The backquoted names in the first cell of each row of the first
+    table under a README heading."""
+    cells = [row[0] for row in _table_rows(heading)]
     return [name for cell in cells for name in re.findall(r"`([^`]+)`", cell)]
 
 
@@ -69,3 +75,17 @@ def test_readme_tables_name_every_config_key_and_subcommand():
     keys = [field.name for field in fields(ExperimentConfig)]
     assert _table_names("### Config files") == keys
     assert _table_names("## Command-line tool") == list(_COMMANDS)
+
+
+def test_readme_config_defaults_are_the_field_defaults():
+    # a row's defaults are comma-separated, one per key, or one for all its keys
+    defaults = {}
+    for names, texts, _ in _table_rows("### Config files"):
+        keys = re.findall(r"`([^`]+)`", names)
+        values = [text.strip().strip("`") for text in texts.split(", ")]
+        if len(values) == 1:
+            values *= len(keys)
+        defaults.update(zip(keys, values, strict=True))
+    for field in fields(ExperimentConfig):
+        parsed = parse_config(f"{field.name} = {defaults[field.name]}\n")
+        assert getattr(parsed, field.name) == field.default, field.name
