@@ -28,6 +28,7 @@ non-finite cell included).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import Field, dataclass, field, fields, replace
 from itertools import groupby
@@ -144,7 +145,11 @@ def _key(default: object, rule: Callable):
 
 
 def _check_range(key: Field, value: object) -> None:
-    """ConfigError unless ``value`` is auto (None) or keeps ``key``'s range rule."""
+    """ConfigError unless ``value`` is of ``key``'s kind and, unless it is
+    auto (None), keeps ``key``'s range rule."""
+    kind = _KINDS[key.type]
+    if not kind.admits(value):
+        raise ConfigError(f"{key.name} must be {kind.what}, got {value!r}")
     rule = key.metadata.get("rule")
     problem = None if rule is None or value is None else rule(key.name, value)
     if problem is not None:
@@ -168,8 +173,9 @@ class ExperimentConfig:
     """Fully resolved experiment description.
 
     Field order is the canonical key order of the config format and of
-    the header echoed into every output file; each field's annotation is
-    its key's value type and its ``rule`` metadata the key's range rule.
+    the header echoed into every output file; each field's annotation
+    names its key's kind in ``_KINDS`` and its ``rule`` metadata the
+    key's range rule.
     ``w_min``/``w_max`` and ``pump_duration`` accept the literal value
     ``auto`` (stored as None), which resolves to the standard window for
     the domain size and to the calibrated pump duration for the mode.
@@ -208,8 +214,9 @@ class ExperimentConfig:
     out_dir: str = _key("out", _check_out_dir)
 
     def __post_init__(self) -> None:
-        """Every check of every config, however made: each key's range rule
-        in field order, then the cross-key checks; ConfigError at the first."""
+        """Every check of every config, however made: each key's kind and
+        range rule in field order, then the cross-key checks; ConfigError
+        at the first."""
         for key in fields(self):
             _check_range(key, getattr(self, key.name))
         if self.r_min >= self.r_max:
@@ -256,7 +263,7 @@ class ExperimentConfig:
         try:
             self.resolved_window()
         except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+            raise ConfigError(f"{exc}; w_min and w_max must span n levels") from None
         if self.v_target >= self.n_x_states:
             raise ConfigError(
                 f"v_target ({self.v_target}) is not among the "
@@ -331,18 +338,15 @@ class ExperimentConfig:
 # Config parsing
 
 # Field of each key: its annotation text (annotations are postponed, so
-# strings) is the value type, its metadata the range rule.
+# strings) names its kind in _KINDS, its metadata the range rule.
 _KEYS: dict[str, Field] = {key.name: key for key in fields(ExperimentConfig)}
 
 
 def _parse_float(text: str) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise ValueError(f"expected a number, got {text!r}") from None
-    if not np.isfinite(value):
-        raise ValueError(f"expected a finite number, got {text!r}")
-    return value
 
 
 def _parse_int(text: str) -> int:
@@ -368,24 +372,59 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(_parse_float(part) for part in parts)
 
 
-_PARSERS: dict[str, Callable[[str], object]] = {
-    "float": _parse_float,
-    "int": _parse_int,
-    "bool": _parse_bool,
-    "tuple[float, ...]": _parse_floats,
-    "str": str,
+def _is_finite_float(v: object) -> bool:
+    return isinstance(v, float) and math.isfinite(v)
+
+
+def _is_int(v: object) -> bool:
+    # A bool is an int to Python, but its text is true or false.
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+class _Kind(NamedTuple):
+    """How a key's text reads, which values a config holds for the key,
+    and what those values are, to complete "<key> must be ..."."""
+
+    read: Callable[[str], object]
+    admits: Callable[[object], bool]
+    what: str
+
+
+def _or_auto(kind: _Kind) -> _Kind:
+    """``kind`` that also reads ``auto``, held as None."""
+    return _Kind(
+        lambda text: None if text.lower() == "auto" else kind.read(text),
+        lambda v: v is None or kind.admits(v),
+        f"{kind.what} or auto",
+    )
+
+
+_FLOAT = _Kind(_parse_float, _is_finite_float, "a finite number")
+_INT = _Kind(_parse_int, _is_int, "an integer")
+
+# The kind of each annotation text.  A config holds exactly the values its
+# key's text can give, so an int is no float: the header echoes an int with
+# %d and a float with %.12g, and one value must have one echo.
+_KINDS: dict[str, _Kind] = {
+    "float": _FLOAT,
+    "float | None": _or_auto(_FLOAT),
+    "int": _INT,
+    "int | None": _or_auto(_INT),
+    "bool": _Kind(_parse_bool, lambda v: isinstance(v, bool), "true or false"),
+    "tuple[float, ...]": _Kind(
+        _parse_floats,
+        lambda v: isinstance(v, tuple) and all(map(_is_finite_float, v)),
+        "a tuple of finite numbers",
+    ),
+    "str": _Kind(str, lambda v: isinstance(v, str), "a string"),
 }
 
 
 def _parse_value(name: str, text: str):
-    """Convert and range-check one value; raises ValueError with a message."""
-    kind = _KEYS[name].type
-    if kind.endswith(" | None"):
-        if text.lower() == "auto":
-            return None
-        kind = kind.removesuffix(" | None")
-    value = _PARSERS[kind](text)
-    _check_range(_KEYS[name], value)
+    """Read and check one value; raises ValueError with a message."""
+    key = _KEYS[name]
+    value = _KINDS[key.type].read(text)
+    _check_range(key, value)
     return value
 
 

@@ -124,7 +124,7 @@ def _solve_curve(
         if energies[keep - 1] < params.d_e - spacing:
             break
         keep -= 1
-    if keep < 1 or energies[0] >= params.d_e:
+    if energies[0] >= params.d_e:
         raise ValueError(
             f"{tag}_d_e = {params.d_e:.4g}, {tag}_beta = {params.beta:.4g} and "
             f"reduced_mass = {reduced_mass:.4g} bind no {label} level on this grid: "

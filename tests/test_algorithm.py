@@ -24,14 +24,18 @@ from carsdj.algorithm import (
     _enumerated_sums,
     all_outcomes,
     channel_weights,
+    design_pulses,
     distinguishability,
     enumerate_functions,
     fidelity_table,
     pearson_r,
+    prepare_model,
     run_instance,
     s_n,
     sweep_delay,
 )
+from carsdj.dynamics import apply_stokes, prepare_first_order
+from carsdj.molecule import vibrational_period
 
 _KERNEL_TAUS = (0.0, 0.5, 1.0, 1.5, 2.0)
 
@@ -747,3 +751,106 @@ def test_vanishing_weights_are_refused_on_every_call(model, options):
             all_outcomes(fresh, 4, 0.0, options)
         assert "stokes_amplitude" in str(err.value)
         assert "stokes_duration" in str(err.value)
+
+
+# Physics invariants over drawn runs: n, window, delays, v_target and
+# options from _cached_runs, with both amplitudes reset to 1.
+
+def _unit_amplitudes(options):
+    return replace(options, pump_amplitude=1.0, stokes_amplitude=1.0)
+
+
+def _metrics(outcomes):
+    """(D, r) of an outcome set, or the message that refuses one."""
+    try:
+        return distinguishability(outcomes), pearson_r(outcomes)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(_cached_runs())
+def test_complementary_functions_give_the_same_signal_bit_for_bit(model, run):
+    n, taus, options = run
+    for tau in taus[:3]:
+        signals = all_outcomes(model, n, tau, _unit_amplitudes(options)).signals
+        # the complement of function i is function 2^n - 1 - i
+        assert signals.tobytes() == signals[::-1].tobytes()
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(_cached_runs(), st.integers(-150, 150), st.integers(-150, 150))
+def test_metrics_do_not_depend_on_the_amplitudes(model, run, product, pump):
+    # products within 1e+-150 keep every weight in the normal float range
+    n, taus, options = run
+    options = _unit_amplitudes(options)
+    scaled = replace(
+        options, pump_amplitude=10.0**pump, stokes_amplitude=10.0 ** (product - pump)
+    )
+    for tau in taus[:3]:
+        base = _metrics(all_outcomes(model, n, tau, options))
+        moved = _metrics(all_outcomes(model, n, tau, scaled))
+        if isinstance(base, str):
+            assert moved == base
+        else:
+            assert np.abs(np.subtract(moved, base)).max() < 1e-9
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(_cached_runs(), st.floats(1e-3, 1e3), st.floats(1e-3, 1e3), st.integers(0))
+def test_raman_amplitudes_are_linear_in_each_pulse_amplitude(
+    model, run, alpha, beta, index
+):
+    n, taus, options = run
+    options = _unit_amplitudes(options)
+    run_model, window = prepare_model(model, options, n)
+    bits = tuple((index >> k) & 1 for k in range(n))
+    delay = taus[0] * vibrational_period(run_model, "B", PERIOD_LEVEL)
+
+    def amplitudes(pump_amplitude, stokes_amplitude):
+        scaled = replace(
+            options, pump_amplitude=pump_amplitude, stokes_amplitude=stokes_amplitude
+        )
+        pump, stokes = design_pulses(run_model, window, bits, scaled, delay)
+        return apply_stokes(run_model, prepare_first_order(run_model, pump, window), stokes)
+
+    a = amplitudes(1.0, 1.0)
+    for factor, pump_amplitude, stokes_amplitude in (
+        (alpha, alpha, 1.0),
+        (beta, 1.0, beta),
+    ):
+        error = amplitudes(pump_amplitude, stokes_amplitude) - factor * a
+        assert np.abs(error).max() <= 1e-12 * factor * np.abs(a).max()
+
+
+def _overlap_signs(model, window, v_target):
+    """sigma_k = sign(fc[w_k, 0] fc[w_k, v_target]) over a window."""
+    w_lo, w_hi = window
+    return np.sign(model.fc[w_lo : w_hi + 1, 0] * model.fc[w_lo : w_hi + 1, v_target])
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(_cached_runs())
+def test_the_idealised_limit_follows_the_overlap_signs(model, run):
+    # flat envelopes, tailored overlaps, no delay: every channel weight has
+    # one size, so only the overlap signs sigma_k tell the functions apart
+    n, _, options = run
+    options = replace(_unit_amplitudes(options), tailored=True, flat_envelopes=True)
+    sigma = _overlap_signs(model, options.resolved_window(n), options.v_target)
+    ideal = np.abs(np.where(_bit_matrix(n), -sigma, sigma).sum(axis=1)) / n
+    signals = all_outcomes(model, n, 0.0, options).signals
+    assert np.abs(signals / signals.max() - ideal).max() < 1e-13
+
+
+def test_the_idealised_limit_is_exact_only_while_the_overlap_signs_agree(model):
+    options = RunOptions(tailored=True, flat_envelopes=True)
+    for n, window in DEFAULT_WINDOWS.items():
+        sigma = _overlap_signs(model, window, options.v_target)
+        d, r = _metrics(all_outcomes(model, n, 0.0, options))
+        if n < 16:
+            assert (sigma == sigma[0]).all(), n
+            assert abs(d - 1.0) < 1e-12 and abs(r - 1.0) < 1e-12, n
+    # the outer channels of the n = 16 window (14, 29) flip sign
+    assert sigma.tolist() == [1.0] + [-1.0] * 14 + [1.0]
+    assert d == pytest.approx(2.0 / 3.0, abs=1e-12)
+    assert r == pytest.approx(0.4839, abs=1e-4)

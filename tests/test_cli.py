@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import carsdj.cli as cli
 from carsdj import RunOptions, all_outcomes
 from carsdj.cli import ConfigError, main, parse_config
+from carsdj.dynamics import apply_stokes, prepare_first_order, signal_magnitude
 
 
 def _read_csv(path):
@@ -122,29 +123,37 @@ def _config_text(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, tuple):
-        return ",".join(map(repr, value))
-    return repr(value) if isinstance(value, float) else str(value)
+        return ",".join(map(_config_text, value))
+    return repr(float(value)) if isinstance(value, float) else str(value)
 
 
-_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
-# Values of each annotation, in and out of every key's range; out_dir's
-# alphabet avoids whitespace and '#', which the file format strips.
+# Finite or not: both paths refuse inf and nan alike.
+_FLOATS = st.floats()
+_FLOAT_VALUES = _FLOATS | st.sampled_from([0.0, -1.0, 1e-300])
+_INT_VALUES = st.integers(-(10**6), 10**12) | st.integers(-3, 20)
+# Values of each kind of cli._KINDS, in and out of every key's range;
+# out_dir's alphabet avoids whitespace and '#', which the file format strips.
 _VALUES = {
-    "float": _FLOATS | st.sampled_from([0.0, -1.0, 1e-300]),
-    "int": st.integers(-(10**6), 10**12) | st.integers(-3, 20),
+    "float": _FLOAT_VALUES,
+    "float | None": _FLOAT_VALUES | st.none(),
+    "int": _INT_VALUES,
+    "int | None": _INT_VALUES | st.none(),
     "bool": st.booleans(),
     "tuple[float, ...]": st.lists(_FLOATS, max_size=3).map(tuple),
     "str": st.text(alphabet="ab/.\0", max_size=4),
 }
 
 
+def test_every_key_has_a_kind_and_every_kind_has_test_values():
+    assert {key.type for key in dataclasses.fields(cli.ExperimentConfig)} <= set(
+        cli._KINDS
+    )
+    assert _VALUES.keys() == cli._KINDS.keys()
+
+
 def _key_values(key: dataclasses.Field):
-    """A key's name and a value of its annotation (None too for an auto key)."""
-    kind = key.type.removesuffix(" | None")
-    values = _VALUES[kind]
-    if kind != key.type:
-        values |= st.none()
-    return st.tuples(st.just(key.name), values)
+    """A key's name and a value of its kind."""
+    return st.tuples(st.just(key.name), _VALUES[key.type])
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -156,6 +165,8 @@ def _key_values(key: dataclasses.Field):
 @example(("tau", (-1.0,)))
 @example(("pump_amplitude", -1.0))
 @example(("n_points", 8193))
+@example(("pump_amplitude", float("inf")))
+@example(("tau", (0.0, float("nan"))))
 def test_a_config_made_by_hand_is_checked_as_the_parser_checks_it(item):
     # a config made by hand once skipped every per-key range rule
     key, value = item
@@ -164,6 +175,157 @@ def test_a_config_made_by_hand_is_checked_as_the_parser_checks_it(item):
     assert by_hand == (parsed and parsed.removeprefix("line 1: "))
     if parsed is not None and parsed.startswith("line 1: "):
         assert re.search(rf"\b{key}\b", by_hand), by_hand
+
+
+# Python values of any type, of a key's kind or not.
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**20), 10**20)
+    | st.floats()
+    | st.floats().map(np.float64)
+    | st.text(max_size=4)
+)
+_ANY_VALUES = (
+    _SCALARS
+    | st.lists(_SCALARS, max_size=3)
+    | st.lists(_SCALARS, max_size=3).map(tuple)
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.sampled_from(dataclasses.fields(cli.ExperimentConfig)), _ANY_VALUES)
+@example(cli._KEYS["n_points"], 100.5)
+@example(cli._KEYS["tau"], [0.0, 1.0])
+@example(cli._KEYS["x_d_e"], None)
+@example(cli._KEYS["out_dir"], 5)
+@example(cli._KEYS["tau"], ("a",))
+@example(cli._KEYS["tailored"], "false")
+@example(cli._KEYS["stokes_duration"], float("inf"))
+@example(cli._KEYS["n"], True)
+@example(cli._KEYS["x_d_e"], 5)
+def test_any_python_value_gives_a_config_or_names_its_key(key, value):
+    # each of the examples once passed, or raised TypeError
+    try:
+        config = cli.ExperimentConfig(**{key.name: value})
+    except ConfigError as exc:
+        message = str(exc)
+        if not re.search(rf"\b{key.name}\b", message):
+            # a check that spans several keys, which the file path makes too
+            text = f"{key.name} = {_config_text(value)}\n"
+            assert message == _problem(lambda: parse_config(text)), message
+        return
+    # a config holds only what its key's text gives
+    assert parse_config(f"{key.name} = {_config_text(value)}\n") == config
+
+
+@pytest.mark.parametrize(
+    ("values", "message"),
+    [
+        ({"n_points": 100.5}, "n_points must be an integer, got 100.5"),
+        ({"tau": [0.0, 1.0]}, "tau must be a tuple of finite numbers, got [0.0, 1.0]"),
+        ({"x_d_e": None}, "x_d_e must be a finite number, got None"),
+        ({"out_dir": 5}, "out_dir must be a string, got 5"),
+        ({"tau": ("a",)}, "tau must be a tuple of finite numbers, got ('a',)"),
+        ({"tailored": "false"}, "tailored must be true or false, got 'false'"),
+        ({"pump_amplitude": float("inf")}, "pump_amplitude must be a finite number, got inf"),
+        ({"stokes_duration": float("inf")}, "stokes_duration must be a finite number, got inf"),
+        ({"tau": (float("nan"),)}, "tau must be a tuple of finite numbers, got (nan,)"),
+        ({"w_min": 2.0, "w_max": 5}, "w_min must be an integer or auto, got 2.0"),
+        ({"pump_duration": 10}, "pump_duration must be a finite number or auto, got 10"),
+    ],
+)
+def test_a_value_of_another_kind_is_named(values, message):
+    # each was accepted, or raised TypeError; "false" ran tailored
+    with pytest.raises(ConfigError) as by_hand:
+        cli.ExperimentConfig(**values)
+    with pytest.raises(ConfigError) as replaced:
+        dataclasses.replace(parse_config(""), **values)
+    assert str(by_hand.value) == str(replaced.value) == message
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("pump_amplitude = inf\n", "line 1: pump_amplitude must be a finite number, got inf"),
+        ("tau = 0, 1e999\n", "line 1: tau must be a tuple of finite numbers, got (0.0, inf)"),
+        ("n_points = 1.5\n", "line 1: expected an integer, got '1.5'"),
+        ("tailored = maybe\n", "line 1: expected true or false, got 'maybe'"),
+        ("w_min = 5\nw_max = 3\n", "w_max (3) must be at least w_min (5)"),
+    ],
+)
+def test_a_bad_value_in_a_file_exits_with_code_one(tmp_path, capsys, text, message):
+    config = tmp_path / "run.conf"
+    config.write_text(text)
+    out = tmp_path / "out"
+    assert main(["eigen", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+# Text of a value: the words the readers treat specially, numbers at and
+# past the float range, and separators the file format cuts at.
+_TOKENS = (
+    st.sampled_from(
+        ["inf", "-inf", "nan", "auto", "AUTO", "1e999", "-1e999", "-0", "0", "1",
+         "4", "6", "16", "23", "2.5", "1e-320", "1e308", "true", "no", "", ",",
+         "#", "0,", ",1", "1,#", "a\0b"]
+    )
+    | st.integers(-5, 40).map(str)
+    | st.integers(-5, 10**5).map(str)
+    | st.floats().map(repr)
+    | st.text(alphabet="0123456789.,-+e#a ", max_size=6)
+)
+# Line numbers, keys and flags an exit-1 message may name.
+_NAMED = re.compile(
+    r"\bline \d+\b|\b(?:%s)\b|--(?:n|tau|out)\b"
+    % "|".join(key.name for key in dataclasses.fields(cli.ExperimentConfig))
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    st.dictionaries(st.sampled_from(list(cli._KEYS)), _TOKENS, max_size=4),
+    st.lists(st.text(alphabet="abn_ =#,", max_size=6), max_size=1),
+)
+@example({"w_min": "19", "w_max": "24"}, [])
+def test_any_config_text_gives_a_config_or_a_named_problem(values, raw):
+    # a window that fits no domain of n points once named no key
+    text = "".join([*(f"{key} = {value}\n" for key, value in values.items()), *raw])
+    problem = _problem(lambda: parse_config(text))
+    assert problem is None or _NAMED.search(problem), problem
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "n": _TOKENS,
+            "tau": st.lists(_TOKENS, max_size=3).map(",".join),
+            # no '/' or '.', so every write stays in the working directory
+            "out": _TOKENS.filter(lambda t: "." not in t)
+            | st.text(alphabet="ab#,-0 \0", max_size=4),
+        },
+    )
+)
+def test_any_flag_text_exits_zero_or_one_naming_what_is_wrong(flags):
+    argv = ["eigen", *(f"--{flag}={value}" for flag, value in flags.items())]
+    stderr = io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
+    err = stderr.getvalue()
+    if code == 0:
+        assert err == ""
+        return
+    assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+    assert _NAMED.search(err), err
 
 
 def test_a_replaced_config_is_range_checked():
@@ -196,7 +358,10 @@ def test_a_flag_that_breaks_the_file_window_is_refused(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(config), "--n", "4", "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "error: window [19, 24] holds 6 levels for a domain of 4 points" in err
+    assert err == (
+        "error: window [19, 24] holds 6 levels for a domain of 4 points; w_min and "
+        "w_max must span n levels\n"
+    )
     assert not out.exists()
 
 
@@ -678,6 +843,15 @@ def test_a_repeated_mask_is_refused(tmp_path, capsys, command):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["pulses", "sweep"])
+def test_a_mask_of_another_length_is_refused(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert main([command, "--mask", "0110,010", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: mask '010' has 3 bits for a domain of 4 points\n"
+    assert list(out.iterdir()) == []
+
+
 def test_configuration_problems_exit_with_code_one(tmp_path, capsys):
     bad = tmp_path / "bad.conf"
     bad.write_text("n = 5\n")
@@ -704,6 +878,29 @@ def test_numerical_failures_exit_with_code_two(tmp_path, monkeypatch, capsys):
     monkeypatch.setitem(cli._COMMANDS, "eigen", boom)
     assert main(["eigen", "--out", str(tmp_path)]) == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_an_oracle_mismatch_exits_with_code_two_after_writing_the_table(
+    tmp_path, monkeypatch, capsys
+):
+    # the table is the evidence of the mismatch, so it is written first
+    def off_by_a_thousandth(model, pump, stokes, v_target, window):
+        a = apply_stokes(model, prepare_first_order(model, pump, window), stokes)
+        return 1.001 * signal_magnitude(a, v_target)
+
+    monkeypatch.setattr(cli, "time_domain_oracle", off_by_a_thousandth)
+    config = tmp_path / "run.conf"
+    config.write_text("oracle_configs = 2\n")
+    out = tmp_path / "out"
+    assert main(["oracle-check", "--config", str(config), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "max relative deviation = 9.990e-04 over 2 configurations" in captured.out
+    assert captured.err == (
+        "numerical failure: frequency/time-domain mismatch: 9.990e-04 exceeds 1e-06\n"
+    )
+    header, rows = _read_csv(out / "oracle_check.csv")
+    assert header[-1] == "rel_dev" and len(rows) == 2
+    assert all(float(cells[-1]) == pytest.approx(1e-3 / 1.001) for cells in rows)
 
 
 @pytest.mark.parametrize("bad", [np.nan, -np.inf])

@@ -74,6 +74,14 @@ def test_kinetic_matrix_rejects_non_finite_entries(reduced_mass):
         kinetic_matrix(DEFAULT_GRID, reduced_mass)
 
 
+@pytest.mark.parametrize("reduced_mass", [0.0, -1.0])
+def test_kinetic_matrix_rejects_a_mass_that_is_not_positive(reduced_mass):
+    with pytest.raises(
+        ValueError, match=f"^reduced mass must be positive, got {reduced_mass}$"
+    ):
+        kinetic_matrix(DEFAULT_GRID, reduced_mass)
+
+
 def test_kinetic_matrix_scales_inversely_with_mass():
     g = Grid(r_min=0.0, r_max=2.0, n_points=17)
     np.testing.assert_allclose(
@@ -179,3 +187,14 @@ def test_solver_rejects_bad_shapes_and_counts():
         solve_bound_states(h, 0)
     with pytest.raises(ValueError, match="n_states"):
         solve_bound_states(h, 17)
+
+
+def test_an_eigensolver_failure_is_a_runtime_error(monkeypatch):
+    def fails(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("synthetic failure")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", fails)
+    with pytest.raises(
+        RuntimeError, match="^eigensolver failed to converge: synthetic failure$"
+    ):
+        solve_bound_states(np.eye(16), 2)

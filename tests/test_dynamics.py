@@ -200,6 +200,14 @@ def test_time_quadrature_validates_inputs(model):
         time_domain_oracle(model, pump, stokes, 4, (38, 45))
 
 
+def test_time_quadrature_refuses_a_hard_edged_mask(model):
+    # the mask's 1/t field tails outrun any practical time window
+    pump = design_pump(model, WINDOW, duration_fwhm=30.0)
+    stokes = design_stokes(model, 4, WINDOW, (0, 1, 1, 0), 30.0)
+    with pytest.raises(RuntimeError, match="quadrature did not converge"):
+        time_domain_oracle(model, pump, stokes, 4, WINDOW)
+
+
 def test_emission_lines_sit_at_the_upper_to_ground_transitions(model):
     pump = design_pump(model, WINDOW, duration_fwhm=30.0)
     first = prepare_first_order(model, pump, WINDOW)
