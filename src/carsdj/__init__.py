@@ -15,7 +15,6 @@ from .algorithm import (
     DEFAULT_TAILORED_PUMP_DURATION,
     DEFAULT_WINDOWS,
     BooleanFunction,
-    DJOutcome,
     FidelityMetrics,
     Outcomes,
     RunOptions,
@@ -75,7 +74,6 @@ __all__ = [
     "DEFAULT_STOKES_DURATION",
     "DEFAULT_TAILORED_PUMP_DURATION",
     "DEFAULT_WINDOWS",
-    "DJOutcome",
     "EigenSolution",
     "FidelityMetrics",
     "FirstOrderCoherence",

@@ -25,8 +25,7 @@ options), keeping every factor but the delay phase, and
 sums run sequentially in window order, as the second-order transfer
 does, and a +/-1 sign flips a term exactly, so every signal is
 bit-identical to ``run_instance``, which composes the full pipeline for
-one function and stays the readable reference that the kernel is tested
-against.
+one function and is the oracle the tests check the kernel against.
 """
 
 from __future__ import annotations
@@ -115,7 +114,8 @@ def s_n(f: BooleanFunction) -> int:
 
 
 def enumerate_functions(n: int) -> list[BooleanFunction]:
-    """All 2^n Boolean functions on n points, ascending by index."""
+    """All 2^n Boolean functions on n points, ascending by index; a test
+    oracle, kept in the package only because the benchmark trace names it."""
     if not (1 <= n <= _MAX_ENUMERATION_N):
         raise ValueError(
             f"domain size must be in [1, {_MAX_ENUMERATION_N}], got {n}"
@@ -204,17 +204,6 @@ class RunOptions:
         return DEFAULT_PUMP_DURATION
 
 
-@dataclass(frozen=True)
-class DJOutcome:
-    """One function evaluated at one delay."""
-
-    function: BooleanFunction
-    tau_fs: float
-    tau_multiple: float
-    signal: float
-    s_n: int
-
-
 @dataclass(frozen=True, eq=False)
 class Outcomes:
     """Every function on n points evaluated at one delay.
@@ -287,26 +276,17 @@ def run_instance(
     f: BooleanFunction,
     tau_multiple: float,
     options: RunOptions = RunOptions(),
-) -> DJOutcome:
-    """Evaluate one Boolean function at a delay of ``tau_multiple`` periods.
-
-    Composes the full pipeline: pump design and first-order preparation
-    over the window, mask design from the function bits, Stokes transfer
-    at the delay, and the channel amplitude readout.
-    """
+) -> float:
+    """Signal of one Boolean function at a delay of ``tau_multiple`` periods,
+    from the full pipeline: pump and first order over the window, the
+    function's Stokes mask at the delay, the transfer and the readout.  The
+    tests' oracle for the kernel, kept here only because the benchmark
+    trace names it."""
     model, window = prepare_model(model, options, f.n)
-    tau_b = vibrational_period(model, "B", PERIOD_LEVEL)
-    tau = tau_multiple * tau_b
+    tau = tau_multiple * vibrational_period(model, "B", PERIOD_LEVEL)
     pump, stokes = design_pulses(model, window, f.bits, options, delay=tau)
     first = prepare_first_order(model, pump, window)
-    a = apply_stokes(model, first, stokes)
-    return DJOutcome(
-        function=f,
-        tau_fs=tau,
-        tau_multiple=tau_multiple,
-        signal=signal_magnitude(a, options.v_target),
-        s_n=s_n(f),
-    )
+    return signal_magnitude(apply_stokes(model, first, stokes), options.v_target)
 
 
 def design_pulses(

@@ -314,16 +314,25 @@ class ExperimentConfig:
             n_x=self.n_x_states,
             n_b=self.n_b_states,
         )
-        for key, side, level, kept in (
-            ("n_b_states", "upper", upper, model.n_b),
-            ("n_x_states", "lower", lower, model.n_x),
+        for tag, side, level, kept in (
+            ("b", "upper", upper, model.n_b),
+            ("x", "lower", lower, model.n_x),
         ):
-            if level >= kept:
-                raise ConfigError(
-                    f"this run needs {side} level {level}, but {key} = "
-                    f"{getattr(self, key)} retained only {kept} {side} levels "
-                    f"(0-{kept - 1})"
+            if level < kept:
+                continue
+            key = f"n_{tag}_states"
+            why = f"{key} = {getattr(self, key)} retained only {kept} {side} levels"
+            # Fewer levels than requested: the curve, not the request, fell short.
+            if kept < getattr(self, key):
+                why = (
+                    f"{tag}_d_e = {getattr(self, f'{tag}_d_e'):.4g} cm^-1, {tag}_beta "
+                    f"= {getattr(self, f'{tag}_beta'):.4g} and reduced_mass = "
+                    f"{self.reduced_mass:.4g} bind only {kept} {side} levels below "
+                    "the cutoff"
                 )
+            raise ConfigError(
+                f"this run needs {side} level {level}, but {why} (0-{kept - 1})"
+            )
         return model
 
     def prepared_model(self) -> VibronicModel:
@@ -532,10 +541,13 @@ def _parse_masks(text: str | None, n: int) -> list[BooleanFunction]:
     for token in text.split(","):
         token = token.strip()
         if not token or set(token) - {"0", "1"}:
-            raise ConfigError(f"mask must be a string of 0s and 1s, got {token!r}")
+            raise ConfigError(
+                f"invalid --mask: expected a string of 0s and 1s, got {token!r}"
+            )
         if len(token) != n:
             raise ConfigError(
-                f"mask {token!r} has {len(token)} bits for a domain of {n} points"
+                f"invalid --mask: {token!r} has {len(token)} bits for a domain of "
+                f"{n} points"
             )
         f = BooleanFunction(tuple(int(ch) for ch in token))
         if f in masks:
@@ -636,24 +648,28 @@ def _delay_model(
     transition's evolution phase finite."""
     top = max(PERIOD_LEVEL + 1, *(w_hi for _, w_hi in windows))
     model = config.build(top, config.v_target)
+    v = config.v_target
     for window in windows:
-        _check_lines(config, model, window, config.v_target)
+        _check_lines(config, model, window, v, f"v_target = {v}")
     tau_b = vibrational_period(model, "B", PERIOD_LEVEL)
     _check_phase(config, key, tau_b, model.nu.max())
     return model, tau_b
 
 
 def _check_lines(
-    config: ExperimentConfig, model: VibronicModel, window: tuple[int, int], v: int
+    config: ExperimentConfig,
+    model: VibronicModel,
+    window: tuple[int, int],
+    v: int,
+    level: str,
 ) -> None:
     """ConfigError unless the lines nu(w, v) of the window are positive
     and ascend: pulses are centred on them and pulse design bins them.  A
     small electronic offset with a high ``v`` puts them below zero, a huge
-    one rounds them together."""
+    one rounds them together.  ``level`` names ``v`` in the message."""
     w_lo, w_hi = window
     lines = model.nu[w_lo : w_hi + 1, v]
     if not lines.min() > 0.0:
-        level = f"v_target = {v}" if v == config.v_target else f"lower level {v}"
         raise ConfigError(
             f"b_t_e = {config.b_t_e:.4g} cm^-1 and {level} put the lowest line of "
             f"upper levels {w_lo}-{w_hi} at {lines.min():.4g} cm^-1; lines must be "
@@ -785,7 +801,8 @@ def _cmd_oracle_check(config: ExperimentConfig, args) -> Iterator[Table]:
     """frequency- vs time-domain agreement"""
     model = config.build(ORACLE_UPPER_LEVELS[1], ORACLE_TARGET_LEVELS[1])
     # The highest target has the lowest lines.
-    _check_lines(config, model, ORACLE_UPPER_LEVELS, ORACLE_TARGET_LEVELS[1])
+    v = ORACLE_TARGET_LEVELS[1]
+    _check_lines(config, model, ORACLE_UPPER_LEVELS, v, f"lower level {v}")
     rng = np.random.default_rng(config.oracle_seed)
     configs = random_oracle_configs(rng, model, config.oracle_configs)
     rows = []

@@ -143,9 +143,15 @@ def _solve_curve(
             f"pi/dx = {math.pi / grid.spacing:.4g} /angstrom"
         )
     inner, outer = turning_points(params, top)
-    if (inner - grid.r_min) < _TURNING_MARGIN_ANG or (
-        grid.r_max - outer
-    ) < _TURNING_MARGIN_ANG:
+    tight = [
+        f"{key} = {value:g}"
+        for key, value, room in (
+            ("r_min", grid.r_min, inner - grid.r_min),
+            ("r_max", grid.r_max, grid.r_max - outer),
+        )
+        if room < _TURNING_MARGIN_ANG
+    ]
+    if tight:
         # inner > r_e - ln 2 / beta, so only r_e and beta can put it below
         # r = 0, outside any grid that starts above 0.
         if inner <= 0.0 < grid.r_min:
@@ -155,9 +161,10 @@ def _solve_curve(
                 f"{inner:.4g} angstrom, below r = 0, outside the grid"
             )
         raise ValueError(
-            f"grid [{grid.r_min}, {grid.r_max}] angstrom too small for {label} "
-            f"level {sol.n_bound - 1}: turning points ({inner:.4g}, {outer:.4g}) "
-            f"need {_TURNING_MARGIN_ANG} angstrom clearance"
+            f"grid [{grid.r_min}, {grid.r_max}] angstrom too small at "
+            f"{' and '.join(tight)} for {label} level {sol.n_bound - 1} "
+            f"(n_{tag}_states = {n_requested}): turning points ({inner:.4g}, "
+            f"{outer:.4g}) need {_TURNING_MARGIN_ANG} angstrom clearance"
         )
     return sol
 

@@ -138,12 +138,10 @@ def test_run_options_defaults():
     )
 
 
-def test_run_instance_records_the_delay(model):
-    out = run_instance(model, BooleanFunction((0, 0, 0, 0)), 1.0)
-    assert out.tau_multiple == 1.0
-    assert out.tau_fs == pytest.approx(387.38497165, abs=1e-4)
-    assert out.s_n == 4
-    assert out.signal > 0.0
+def test_run_instance_returns_the_signal(model):
+    signal = run_instance(model, BooleanFunction((0, 0, 0, 0)), 1.0)
+    assert type(signal) is float and signal > 0.0
+    assert signal == all_outcomes(model, 4, 1.0).signals[0]
 
 
 def test_run_instance_rejects_mismatched_windows(model):
@@ -293,15 +291,15 @@ def test_enumeration_returns_a_fresh_list_each_call():
     ids=["plain", "tailored", "flat"],
 )
 def test_kernel_equals_run_instance_exactly(model, n, options):
+    tau_b = vibrational_period(model, "B", PERIOD_LEVEL)
     for tau in _KERNEL_TAUS:
         outs = all_outcomes(model, n, tau, options)
+        assert outs.tau_fs == tau * tau_b
         for f, signal, signed_sum in zip(
             enumerate_functions(n), outs.signals, outs.s_n
         ):
-            ref = run_instance(model, f, tau, options)
-            assert signal == ref.signal
-            assert outs.tau_fs == ref.tau_fs
-            assert signed_sum == ref.s_n
+            assert signal == run_instance(model, f, tau, options)
+            assert signed_sum == s_n(f)
 
 
 @pytest.mark.parametrize(
@@ -312,18 +310,16 @@ def test_kernel_equals_run_instance_on_wide_windows(model, n, window, tau):
     outs = all_outcomes(model, n, tau, options)
     assert outs.signals.shape == (2**n,)
     for f, signal in zip(enumerate_functions(n), outs.signals):
-        assert signal == run_instance(model, f, tau, options).signal
+        assert signal == run_instance(model, f, tau, options)
 
 
 def test_sweep_equals_run_instance_exactly(model):
     multiples = np.linspace(0.0, 2.5, 501)
+    tau_b = vibrational_period(model, "B", PERIOD_LEVEL)
     for f in enumerate_functions(4):
         trace = sweep_delay(model, f, multiples)
         expected = np.array(
-            [
-                (o.tau_fs, o.signal)
-                for o in (run_instance(model, f, float(m)) for m in multiples)
-            ]
+            [(m * tau_b, run_instance(model, f, float(m))) for m in multiples]
         )
         assert np.array_equal(trace, expected)
 
@@ -357,7 +353,7 @@ def test_channel_weights_shape_and_delays(model):
     np.testing.assert_allclose(tau_fs, taus * 387.38497165, atol=1e-3)
     # the constant-0 signal is the plain sum of the weights
     constant = BooleanFunction((0, 0, 0, 0))
-    assert abs(z[1].sum()) == pytest.approx(run_instance(model, constant, 1.0).signal)
+    assert abs(z[1].sum()) == pytest.approx(run_instance(model, constant, 1.0))
 
 
 def test_channel_weights_reject_bad_windows_and_targets(model):

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -328,6 +329,113 @@ def test_any_flag_text_exits_zero_or_one_naming_what_is_wrong(flags):
     assert _NAMED.search(err), err
 
 
+# Extreme values of each kind, as config text; the fuzzes above cover
+# negative and non-finite ones.  The caps keep one run small: a 2048-point
+# grid, 5000 delays and 3 oracle configurations.
+_CAPS = {"n_points": 2048, "sweep_points": 5000, "oracle_configs": 3}
+_EXTREME_FLOATS = [0.0, 5e-324, 1e-300, 1e-10, 0.5, 2.0, 1e10, 1e300, 1.7e308]
+_EXTREME_INTS = [0, 1, 2, 3, 5, 6, 16, 17, 23, 29, 39, 40, 41, 100, 10**9, 2**63]
+
+
+def _extreme_text(key: dataclasses.Field):
+    """Text of an extreme value of a key, within the caps."""
+    kind = key.type.removesuffix(" | None")
+    if kind == "float":
+        values = st.sampled_from(_EXTREME_FLOATS)
+        if key.default:
+            # near the default too, where the physics gives way first
+            factors = st.sampled_from([0.1, 0.5, 0.9, 1.1, 2.0, 10.0])
+            values |= factors.map(lambda factor: factor * key.default)
+    elif kind == "int":
+        cap = _CAPS.get(key.name)
+        ints = [v for v in _EXTREME_INTS if cap is None or v < cap]
+        values = st.sampled_from(ints + ([cap] if cap else []))
+    elif kind == "tuple[float, ...]":
+        values = st.lists(st.sampled_from(_EXTREME_FLOATS), max_size=3).map(tuple)
+    elif kind == "bool":
+        values = st.booleans()
+    else:
+        values = st.sampled_from(["", "a\0b", "o", "#"])
+    if key.type.endswith("| None"):
+        values |= st.none()
+    return st.tuples(st.just(key.name), values.map(_config_text))
+
+
+# What an exit-1 message of main may name: a config line, a key or a flag.
+_NAMED_BY_MAIN = re.compile(_NAMED.pattern + r"|--(?:tailored|mask)\b")
+_CONFIG_KEYS = st.sampled_from(dataclasses.fields(cli.ExperimentConfig))
+_MASKS = st.text(alphabet="01", min_size=2, max_size=8) | st.sampled_from(["", "2"])
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(
+    st.sampled_from(list(cli._COMMANDS)),
+    st.lists(
+        _CONFIG_KEYS.flatmap(_extreme_text),
+        min_size=1,
+        max_size=2,
+        unique_by=lambda item: item[0],
+    ),
+    # Mostly values a run accepts, so that the run goes on to the physics;
+    # the flag fuzz above covers bad flag text.
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "n": st.sampled_from(["4", "4", "6", "8", "16", "2", "5", "x"]),
+            "tau": st.lists(
+                st.sampled_from(["0", "1", "2.5", "0.5", "100", "1e308", "-1", "nan"]),
+                min_size=1,
+                max_size=3,
+            ).map(",".join),
+            "out": st.sampled_from(["o", "o", "o", "", "a\0b"]),
+            "tailored": st.just(True),
+            "mask": st.lists(_MASKS, min_size=1, max_size=3).map(",".join),
+        },
+    ),
+)
+def test_any_run_of_main_exits_cleanly_naming_what_is_wrong(command, values, flags):
+    # a run exits 0 with finite cells, 1 naming a key, a flag or a config
+    # line, or 2; never with a traceback or a warning
+    if command not in ("pulses", "sweep"):
+        flags.pop("mask", None)
+    text = "".join(f"{key} = {value}\n" for key, value in values)
+    if "oracle_configs" not in dict(values):
+        text += f"oracle_configs = {_CAPS['oracle_configs']}\n"
+    argv = [command, "--config", "run.conf"]
+    for flag, value in flags.items():
+        argv.append(f"--{flag}" if value is True else f"--{flag}={value}")
+    stderr = io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            Path("run.conf").write_text(text)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+                    code = main(argv)
+            written = sorted(Path(".").rglob("*.csv"))
+            cells = [row for path in written for row in _read_csv(path)[1]]
+        finally:
+            os.chdir(cwd)
+    err = stderr.getvalue()
+    assert not caught, [str(w.message) for w in caught]
+    assert code in (0, 1, 2), err
+    if code == 0:
+        for row in cells:
+            for cell in row:
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue
+                assert np.isfinite(value), (argv, text)
+    elif code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert _NAMED_BY_MAIN.search(err), (argv, text, err)
+    else:
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1, err
+
+
 def test_a_replaced_config_is_range_checked():
     with pytest.raises(ConfigError, match="^tau needs at least one delay multiple$"):
         dataclasses.replace(parse_config(""), tau=())
@@ -611,7 +719,6 @@ def test_oracle_check_passes_on_a_small_sample(tmp_path):
         ("n_b_states = 20\n", "sweep", 20),
         ("n_b_states = 20\n", "table1", 20),
         ("n_b_states = 20\n", "pulses", 20),
-        ("b_d_e = 400\n", "sweep", 19),
         ("n = 8\ntailored = true\nn_b_states = 24\n", "fc", 24),
         ("w_min = 20\nw_max = 23\nn_b_states = 20\n", "sweep", 20),
     ],
@@ -622,6 +729,33 @@ def test_too_few_upper_levels_name_the_key(tmp_path, capsys, text, command, reta
     assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert "n_b_states" in err and f"retained only {retained} upper levels" in err
+
+
+@pytest.mark.parametrize(
+    ("text", "command", "flags", "tag", "kept"),
+    [
+        pytest.param("b_d_e = 400\n", "sweep", [], "b", 19, id="sweep"),
+        pytest.param("b_d_e = 400\n", "pulses", [], "b", 19, id="pulses"),
+        pytest.param("b_d_e = 500\n", "pulses", [], "b", 21, id="pulses-21"),
+        pytest.param("b_d_e = 400\n", "oracle-check", [], "b", 19, id="oracle-check"),
+        pytest.param("b_d_e = 400\n", "fc", ["--tailored"], "b", 19, id="tailored-fc"),
+        pytest.param("x_d_e = 20\n", "sweep", [], "x", 2, id="lower-sweep"),
+    ],
+)
+def test_too_few_levels_kept_by_the_cutoff_name_the_curve(
+    tmp_path, capsys, text, command, flags, tag, kept
+):
+    # the refusal once named n_b_states, which cannot add a level the cutoff drops
+    config = tmp_path / "run.conf"
+    config.write_text(text)
+    args = [command, "--config", str(config), "--out", str(tmp_path), *flags]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    for key in (f"{tag}_d_e", f"{tag}_beta", "reduced_mass"):
+        assert re.search(rf"\b{key}\b", err), err
+    assert not re.search(rf"\bn_{tag}_states\b", err), err
+    side = "upper" if tag == "b" else "lower"
+    assert f"bind only {kept} {side} levels below the cutoff" in err
 
 
 def test_runs_that_need_no_window_accept_few_upper_levels(tmp_path):
@@ -825,6 +959,38 @@ def test_lines_below_zero_name_b_t_e_and_v_target(
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    ("text", "named", "points"),
+    [
+        ("x_beta = 0.5\n", "r_min = 2 for lower level 39 (n_x_states", "1.967, 3.75"),
+        ("b_r_e = 2.0\n", "r_min = 2 for upper level 39 (n_b_states", "1.635, 3.783"),
+        ("r_max = 4.5\n", "r_max = 4.5 for upper level 39 (n_b_states", "2.669, 4.254"),
+    ],
+)
+def test_the_grid_clearance_refusal_names_its_keys(
+    tmp_path, capsys, text, named, points
+):
+    # the refusal once named the grid's range but no key
+    config = tmp_path / "run.conf"
+    config.write_text(text)
+    assert main(["eigen", "--config", str(config), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"too small at {named} = 40): turning points ({points}) need 0.25" in err
+
+
+def test_oracle_check_line_refusal_never_names_v_target(tmp_path, capsys):
+    # oracle-check reads no v_target, yet v_target = 6 once put it in the message
+    config = tmp_path / "run.conf"
+    errors = []
+    for v_target in (4, 6):
+        config.write_text(f"b_t_e = 0\nx_beta = 5.6\nv_target = {v_target}\n")
+        argv = ["oracle-check", "--config", str(config), "--out", str(tmp_path)]
+        assert main(argv) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert "lower level 6" in errors[0] and "v_target" not in errors[0]
+
+
 def test_out_flag_overrides_the_config_directory(tmp_path):
     config = tmp_path / "run.conf"
     config.write_text(f"out_dir = {tmp_path / 'ignored'}\n")
@@ -848,7 +1014,7 @@ def test_a_mask_of_another_length_is_refused(tmp_path, capsys, command):
     out = tmp_path / "out"
     assert main([command, "--mask", "0110,010", "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err == "error: mask '010' has 3 bits for a domain of 4 points\n"
+    assert err == "error: invalid --mask: '010' has 3 bits for a domain of 4 points\n"
     assert list(out.iterdir()) == []
 
 

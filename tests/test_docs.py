@@ -31,6 +31,8 @@ for path in sys.argv[2:]:
 
 
 def test_readme_quick_start_and_demos_run(tmp_path):
+    # the quick start teaches the kernel, not the per-function test oracle
+    assert not re.search(r"\b(run_instance|enumerate_functions)\b", _quick_start())
     demos = sorted(str(path) for path in (ROOT / "demos").glob("*.py"))
     assert len(demos) == 4
     env = dict(
