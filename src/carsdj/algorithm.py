@@ -154,6 +154,11 @@ def _selection(n: int) -> _Selection:
     return _Selection(s, balanced, centred, bool(np.ptp(ideal) == 0.0))
 
 
+def _is_level(v: object) -> bool:
+    """Whether ``v`` indexes a level: a Python or numpy integer, not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class RunOptions:
     """Knobs for one classification run.
@@ -179,9 +184,23 @@ class RunOptions:
         # A tuple keeps the options hashable, so they can key a cache.
         if self.w_window is not None:
             object.__setattr__(self, "w_window", tuple(self.w_window))
+            if len(self.w_window) != 2 or not all(map(_is_level, self.w_window)):
+                raise ValueError(
+                    f"w_window must be two integer levels, got {self.w_window!r}"
+                )
+        if not _is_level(self.v_target):
+            raise ValueError(
+                f"v_target must be an integer level, got {self.v_target!r}"
+            )
 
     def resolved_window(self, n: int) -> tuple[int, int]:
-        """The window of a run on n points; ValueError unless it holds n levels."""
+        """The window of a run on n points; ValueError unless n is a domain
+        size a run enumerates and the window holds n levels."""
+        if not (_is_level(n) and 1 <= n <= _MAX_ENUMERATION_N):
+            raise ValueError(
+                f"domain size n must be an integer in [1, {_MAX_ENUMERATION_N}], "
+                f"got {n!r}"
+            )
         if self.w_window is None:
             if n not in DEFAULT_WINDOWS:
                 raise ValueError(
@@ -380,13 +399,16 @@ def channel_weights(
     ``_legs``; then the evolution phases of every delay.  Returns
     ``(tau_fs, z)`` with ``tau_fs`` of shape (T,) and ``z`` of shape
     (T, n); the signal of f at delay t is |sum_k (-1)^f(k) z[t, k]| (see
-    the module docstring).
+    the module docstring).  Negative delay multiples are accepted on
+    purpose: the product form sums both time orderings, so the amplitude
+    is defined there.
 
     Raises
     ------
     ValueError
-        If the window does not hold n retained upper levels,
-        ``v_target`` is not a retained lower level, a delay multiple
+        If n is not a domain size in [1, 16], the window does not hold n
+        retained upper levels, ``v_target`` is not a retained lower level,
+        the window's lines are not positive and ascending, a delay multiple
         gives no finite phase, the pulse amplitudes overflow a weight or
         the bound sum_k |z[t, k]| of the signals it feeds, or the
         amplitudes and durations leave every weight below the normal

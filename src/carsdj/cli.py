@@ -648,38 +648,9 @@ def _delay_model(
     transition's evolution phase finite."""
     top = max(PERIOD_LEVEL + 1, *(w_hi for _, w_hi in windows))
     model = config.build(top, config.v_target)
-    v = config.v_target
-    for window in windows:
-        _check_lines(config, model, window, v, f"v_target = {v}")
     tau_b = vibrational_period(model, "B", PERIOD_LEVEL)
     _check_phase(config, key, tau_b, model.nu.max())
     return model, tau_b
-
-
-def _check_lines(
-    config: ExperimentConfig,
-    model: VibronicModel,
-    window: tuple[int, int],
-    v: int,
-    level: str,
-) -> None:
-    """ConfigError unless the lines nu(w, v) of the window are positive
-    and ascend: pulses are centred on them and pulse design bins them.  A
-    small electronic offset with a high ``v`` puts them below zero, a huge
-    one rounds them together.  ``level`` names ``v`` in the message."""
-    w_lo, w_hi = window
-    lines = model.nu[w_lo : w_hi + 1, v]
-    if not lines.min() > 0.0:
-        raise ConfigError(
-            f"b_t_e = {config.b_t_e:.4g} cm^-1 and {level} put the lowest line of "
-            f"upper levels {w_lo}-{w_hi} at {lines.min():.4g} cm^-1; lines must be "
-            "positive"
-        )
-    if not (np.diff(lines) > 0.0).all():
-        raise ConfigError(
-            f"b_t_e = {config.b_t_e:.4g} cm^-1 swamps upper levels {w_lo}-{w_hi}: "
-            "their transition wavenumbers do not ascend in floating point"
-        )
 
 
 def _check_phase(
@@ -800,9 +771,6 @@ def _cmd_table1(config: ExperimentConfig, args) -> Iterator[Table]:
 def _cmd_oracle_check(config: ExperimentConfig, args) -> Iterator[Table]:
     """frequency- vs time-domain agreement"""
     model = config.build(ORACLE_UPPER_LEVELS[1], ORACLE_TARGET_LEVELS[1])
-    # The highest target has the lowest lines.
-    v = ORACLE_TARGET_LEVELS[1]
-    _check_lines(config, model, ORACLE_UPPER_LEVELS, v, f"lower level {v}")
     rng = np.random.default_rng(config.oracle_seed)
     configs = random_oracle_configs(rng, model, config.oracle_configs)
     rows = []

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import TWO_PI_C
-from .molecule import VibronicModel, checked_window, transition_wavenumber
+from .molecule import VibronicModel, checked_lines, checked_window, transition_wavenumber
 from .pulses import PulseSpec, _unit_phase, spectral_amplitude, time_profile
 
 # Coarse time grid of ``time_domain_oracle``: trapezoidal step in fs and
@@ -211,10 +211,12 @@ def random_oracle_configs(
 
     Windows span 2-6 levels; both carriers sit within 120 cm^-1 of the
     mid-window lines nu(mid, 0) and nu(mid, v_target).  The Stokes pulse
-    arrives 0-900 fs after time zero.
+    arrives 0-900 fs after time zero.  ValueError unless the windows' lines
+    are positive and ascend at the highest target, which has the lowest.
     """
     w_first, w_last = ORACLE_UPPER_LEVELS
     v_first, v_last = ORACLE_TARGET_LEVELS
+    checked_lines(model, ORACLE_UPPER_LEVELS, v_last, f"lower level {v_last}")
     configs = []
     for _ in range(k):
         w_lo = int(rng.integers(w_first, w_last - 4))

@@ -235,6 +235,33 @@ def checked_window(
     return np.arange(w_lo, w_hi + 1)
 
 
+def checked_lines(
+    model: VibronicModel, w_window: tuple[int, int], v: int, level: str
+) -> np.ndarray:
+    """Lines nu(w, v) of an inclusive window of upper levels, after validation.
+
+    Raises ValueError unless ``checked_window`` accepts the window and ``v``,
+    and the lines are positive and strictly ascend: pulses are centred on
+    them and a Stokes mask bins them.  A small electronic offset with a high
+    ``v`` puts them below zero, a huge one rounds them together.  ``level``
+    names ``v`` in the message, which names the offset by its config key.
+    """
+    lines = model.nu[checked_window(model, w_window, v), v]
+    w_lo, w_hi = w_window
+    if not lines.min() > 0.0:
+        raise ValueError(
+            f"b_t_e = {model.t_e:.4g} cm^-1 and {level} put the lowest line of "
+            f"upper levels {w_lo}-{w_hi} at {lines.min():.4g} cm^-1; lines must be "
+            "positive"
+        )
+    if not (np.diff(lines) > 0.0).all():
+        raise ValueError(
+            f"b_t_e = {model.t_e:.4g} cm^-1 swamps upper levels {w_lo}-{w_hi}: "
+            "their transition wavenumbers do not ascend in floating point"
+        )
+    return lines
+
+
 def transition_wavenumber(model: VibronicModel, w: int, v: int) -> float:
     """Vertical transition energy t_e + E_B(w) - E_X(v) in cm^-1."""
     checked_window(model, (w, w), v)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C_CM_PER_FS, SIGMA_TO_FWHM, TWO_PI_C
-from .molecule import VibronicModel, checked_window, transition_wavenumber
+from .molecule import VibronicModel, checked_lines, transition_wavenumber
 
 # Beyond this many envelope standard deviations the field underflows and
 # the complex error function would overflow; treat the field as zero.
@@ -216,9 +216,8 @@ def design_pump(
     amplitude: float = 1.0,
 ) -> PulseSpec:
     """Unmasked pulse centred on the mean of nu(w, 0) over the window."""
-    ws = checked_window(model, w_window)
     return PulseSpec(
-        center=float(np.mean(model.nu[ws, 0])),
+        center=float(np.mean(checked_lines(model, w_window, 0, "lower level 0"))),
         duration_fwhm=duration_fwhm,
         amplitude=amplitude,
     )
@@ -240,21 +239,15 @@ def design_stokes(
     adjacent transition wavenumbers, with the outer edges extended
     symmetrically.
     """
-    ws = checked_window(model, w_window, v_target)
-    if ws.size < 2:
+    nus = checked_lines(model, w_window, v_target, f"v_target = {v_target}")
+    if nus.size < 2:
         raise ValueError("mask construction needs a window of at least 2 levels")
-    if len(f_bits) != ws.size:
+    if len(f_bits) != nus.size:
         raise ValueError(
-            f"got {len(f_bits)} bits for a window of {ws.size} levels"
+            f"got {len(f_bits)} bits for a window of {nus.size} levels"
         )
     if any(b not in (0, 1) for b in f_bits):
         raise ValueError(f"bits must be 0 or 1, got {f_bits}")
-    nus = model.nu[ws, v_target]
-    if not np.all(np.diff(nus) > 0.0):
-        raise ValueError(
-            "transition wavenumbers are not strictly ascending across the "
-            "window; bins would overlap"
-        )
     mid = 0.5 * (nus[:-1] + nus[1:])
     first = nus[0] - (mid[0] - nus[0])
     last = nus[-1] + (nus[-1] - mid[-1])

@@ -2,8 +2,10 @@
 
 import gc
 import re
+import warnings
 import weakref
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -30,12 +32,13 @@ from carsdj.algorithm import (
     fidelity_table,
     pearson_r,
     prepare_model,
+    row_options,
     run_instance,
     s_n,
     sweep_delay,
 )
 from carsdj.dynamics import apply_stokes, prepare_first_order
-from carsdj.molecule import vibrational_period
+from carsdj.molecule import IODINE_B, IODINE_X, build_model, vibrational_period
 
 _KERNEL_TAUS = (0.0, 0.5, 1.0, 1.5, 2.0)
 
@@ -850,3 +853,197 @@ def test_the_idealised_limit_is_exact_only_while_the_overlap_signs_agree(model):
     assert sigma.tolist() == [1.0] + [-1.0] * 14 + [1.0]
     assert d == pytest.approx(2.0 / 3.0, abs=1e-12)
     assert r == pytest.approx(0.4839, abs=1e-4)
+
+
+# Each library entry point on n = 4 points at one delay.
+_LIBRARY_RUNS = {
+    "all_outcomes": lambda model, options: all_outcomes(model, 4, 1.0, options),
+    "sweep_delay": lambda model, options: sweep_delay(
+        model, BooleanFunction((0, 1, 1, 0)), np.array([0.0, 1.0]), options
+    ),
+    "fidelity_table": lambda model, options: fidelity_table(model, (1.0,), options),
+    "run_instance": lambda model, options: run_instance(
+        model, BooleanFunction((0, 1, 1, 0)), 1.0, options
+    ),
+}
+
+
+@pytest.mark.parametrize("call", list(_LIBRARY_RUNS))
+def test_lines_below_zero_are_refused_naming_b_t_e_and_v_target(model, call):
+    # the window's lines at v_target = 17 are -83.6, 6.1, 94.0 and 180.2
+    # cm^-1; all_outcomes once returned D = -0.480 and r = 0.115 from them
+    message = (
+        "b_t_e = 1150 cm^-1 and v_target = 17 put the lowest line of upper levels "
+        "20-23 at -83.62 cm^-1; lines must be positive"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _LIBRARY_RUNS[call](replace(model, t_e=1150.0), RunOptions(v_target=17))
+
+
+@pytest.mark.parametrize(
+    ("t_e", "v_target", "named"),
+    [
+        (1.0, 17, "b_t_e = 1 cm^-1 and v_target = 17 put"),
+        (-3000.0, 4, "b_t_e = -3000 cm^-1 and lower level 0 put"),
+        (1e20, 4, "b_t_e = 1e+20 cm^-1 swamps upper levels 20-23"),
+        (1e308, 4, "b_t_e = 1e+308 cm^-1 swamps upper levels 20-23"),
+    ],
+)
+def test_every_line_refusal_names_b_t_e(model, t_e, v_target, named):
+    # these once read "center wavenumber must be positive", "transition
+    # wavenumbers are not strictly ascending" or overflowed the pump's mean
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match=f"^{re.escape(named)}"):
+            all_outcomes(replace(model, t_e=t_e), 4, 1.0, RunOptions(v_target=v_target))
+    assert not caught, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize(
+    ("field", "value"),
+    [
+        ("w_window", (20.5, 23.5)),
+        ("w_window", (20, 23.0)),
+        ("w_window", (20, 22, 23)),
+        ("w_window", (False, True)),
+        ("v_target", 2.5),
+        ("v_target", True),
+    ],
+)
+def test_run_options_refuse_levels_that_are_not_integers(field, value):
+    # a float window or target once ended in IndexError inside all_outcomes
+    what = "two integer levels" if field == "w_window" else "an integer level"
+    message = f"{field} must be {what}, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        RunOptions(**{field: value})
+
+
+def test_numpy_integer_levels_run_as_their_python_values(model):
+    numpy_levels = RunOptions(
+        w_window=(np.int64(20), np.int32(23)), v_target=np.int64(4)
+    )
+    assert numpy_levels == RunOptions(w_window=(20, 23), v_target=4)
+    signals = all_outcomes(model, 4, 1.0, numpy_levels).signals
+    assert signals.tobytes() == all_outcomes(model, 4, 1.0).signals.tobytes()
+
+
+@pytest.mark.parametrize(("n", "window"), [(17, (13, 29)), (18, (13, 30)), (0, None)])
+def test_a_domain_size_beyond_the_enumerable_range_is_refused(model, n, window):
+    # n = 18 once returned 2^18 signals; nothing stopped 2^40
+    message = f"domain size n must be an integer in [1, 16], got {n}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        all_outcomes(model, n, 1.0, RunOptions(w_window=window))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        RunOptions(w_window=window).resolved_window(n)
+
+
+# Morse curves of the library fuzz beside the default: one binds only 31
+# upper levels, one spaces the lower levels wider, lowering their lines.
+_FUZZ_CURVES = (
+    (IODINE_X, replace(IODINE_B, d_e=1000.0)),
+    (replace(IODINE_X, beta=2.4), IODINE_B),
+)
+
+
+@lru_cache(maxsize=len(_FUZZ_CURVES))
+def _fuzz_model(index):
+    return build_model(*_FUZZ_CURVES[index])
+
+
+@st.composite
+def _library_inputs(draw):
+    """(n, RunOptions keywords, delay multiples) of one library run: mostly
+    integer windows of n levels, up to n = 20, some of them out of range or
+    of float or numpy levels."""
+    n = draw(st.sampled_from([2, 4, 6, 8]) | st.integers(1, 20))
+    window = draw(
+        st.none()
+        | st.integers(10, 20).map(lambda lo: (lo, lo + n - 1))
+        | st.integers(-1, 40).map(lambda lo: (lo, lo + n - 1))
+        | st.integers(0, 36).map(lambda lo: (lo + 0.5, lo + n - 0.5))
+        | st.integers(0, 36).map(lambda lo: (np.int64(lo), np.int64(lo + n - 1)))
+    )
+    keywords = {
+        "w_window": window,
+        "v_target": draw(
+            st.integers(0, 8)
+            | st.integers(-1, 41)
+            | st.sampled_from([2.5, np.int64(17)])
+        ),
+        "pump_duration": draw(st.sampled_from([None, None, 10.0, 1e300])),
+        "stokes_duration": draw(st.sampled_from([30.0, 30.0, 1e-3, 1e300])),
+        "pump_amplitude": draw(st.sampled_from([1.0, 1.0, 1e300, 1e-320])),
+        "tailored": draw(st.booleans()),
+        "flat_envelopes": draw(st.booleans()),
+    }
+    delays = st.sampled_from([0.0, 1.0, 2.5, -1.0, 1e308, np.nan])
+    return n, keywords, tuple(draw(st.lists(delays, min_size=1, max_size=3)))
+
+
+# The refusals of the line, level and domain-size checks, which name their
+# field, n or b_t_e, then those a drawn run may meet for other reasons: a
+# Stokes pulse so long that it reaches one line alone leaves fidelity_table
+# a degenerate outcome set.
+_NAMED_REFUSAL = re.compile(
+    r"^b_t_e = \S+ cm\^-1 (and (v_target = -?\d+|lower level 0) put the lowest line"
+    r"|swamps upper levels)|^(w_window|v_target) must be|^domain size n must"
+)
+_OTHER_REFUSAL = re.compile(
+    r"^(empty window|window \[|no default window|target level|delay multiple"
+    r"|pump_amplitude = |cannot equalise|mask construction needs"
+    r"|degenerate outcome set|constant-function signal vanished)"
+)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["all_outcomes", "sweep_delay", "fidelity_table"]),
+    st.sampled_from([None, *range(len(_FUZZ_CURVES))]),
+    st.floats(1e4, 3e4)
+    | st.floats(0.0, 3e4)
+    | st.sampled_from([0.0, 1.0, 1150.0, 15647.0, 1e20, 1e308])
+    | st.floats(0.0, 1e308),
+    _library_inputs(),
+)
+def test_any_library_run_gives_finite_signals_or_names_what_is_wrong(
+    model, call, curves, t_e, inputs
+):
+    # a run returns finite signals from positive lines, or raises a
+    # ValueError that says what is wrong; never IndexError, TypeError or a
+    # warning
+    n, keywords, taus = inputs
+    base = model if curves is None else _fuzz_model(curves)
+    run_model = replace(base, t_e=t_e)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            options = RunOptions(**keywords)
+            if call == "all_outcomes":
+                signals = all_outcomes(run_model, n, taus[0], options).signals
+                runs = [(n, options, signals)]
+            elif call == "sweep_delay":
+                f = BooleanFunction(tuple(k % 2 for k in range(n)))
+                trace = sweep_delay(run_model, f, np.array(taus), options)
+                runs = [(n, options, trace)]
+            else:
+                runs = [
+                    (m.n, row_options(options, m.n, m.tailored), m.outcomes.signals)
+                    for m in fidelity_table(run_model, taus, options)
+                ]
+        except ValueError as exc:
+            message = str(exc)
+            assert _NAMED_REFUSAL.search(message) or _OTHER_REFUSAL.search(message), (
+                message
+            )
+            levels = (*(keywords["w_window"] or ()), keywords["v_target"])
+            if not all(isinstance(v, (int, np.integer)) for v in levels):
+                assert re.match("^(w_window|v_target) must be", message), message
+            elif n > 16 and call != "fidelity_table":
+                assert message.startswith("domain size n must"), message
+        else:
+            for size, run_options, values in runs:
+                assert np.isfinite(values).all()
+                w_lo, w_hi = run_options.resolved_window(size)
+                for v in (0, run_options.v_target):
+                    assert (run_model.nu[w_lo : w_hi + 1, v] > 0.0).all()
+    assert not caught, [str(w.message) for w in caught]

@@ -21,7 +21,13 @@ from hypothesis import strategies as st
 import carsdj.cli as cli
 from carsdj import RunOptions, all_outcomes
 from carsdj.cli import ConfigError, main, parse_config
-from carsdj.dynamics import apply_stokes, prepare_first_order, signal_magnitude
+from carsdj.algorithm import design_pulses
+from carsdj.dynamics import (
+    apply_stokes,
+    prepare_first_order,
+    random_oracle_configs,
+    signal_magnitude,
+)
 
 
 def _read_csv(path):
@@ -989,6 +995,38 @@ def test_oracle_check_line_refusal_never_names_v_target(tmp_path, capsys):
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1]
     assert "lower level 6" in errors[0] and "v_target" not in errors[0]
+
+
+@pytest.mark.parametrize(
+    ("text", "command"),
+    [
+        # every case of the two tests above that pin these refusals' bytes
+        ("b_t_e = 1e308\n", "pulses"),
+        ("b_t_e = 1e308\n", "oracle-check"),
+        ("b_t_e = 1e20\n", "sweep"),
+        ("b_t_e = 1e20\n", "table1"),
+        ("b_t_e = 1\nv_target = 17\n", "pulses"),
+        ("b_t_e = 1\nv_target = 17\n", "sweep"),
+        ("b_t_e = 1\nv_target = 17\n", "table1"),
+        ("b_t_e = 0\nx_beta = 20\n", "oracle-check"),
+    ],
+)
+def test_a_line_refusal_is_the_library_s_word_for_word(
+    tmp_path, capsys, text, command
+):
+    # the library owns the line check; the CLI only reports its refusal
+    config = tmp_path / "run.conf"
+    config.write_text(text)
+    assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    cfg = parse_config(text)
+    model = cfg.build()
+    with pytest.raises(ValueError) as refusal:
+        if command == "oracle-check":
+            random_oracle_configs(np.random.default_rng(cfg.oracle_seed), model, 1)
+        else:
+            design_pulses(model, cfg.resolved_window(), (0,) * cfg.n, cfg.run_options())
+    assert err == f"error: {refusal.value}\n"
 
 
 def test_out_flag_overrides_the_config_directory(tmp_path):

@@ -230,7 +230,7 @@ def test_designed_stokes_validation(model):
     with pytest.raises(ValueError, match="bits must be 0 or 1"):
         design_stokes(model, 4, (20, 23), (0, 1, 2, 0), 30.0)
     # an electronic offset this large rounds the window's lines together
-    with pytest.raises(ValueError, match="not strictly ascending across the window"):
+    with pytest.raises(ValueError, match=r"b_t_e = 1e\+20 cm\^-1 swamps upper levels 20-23"):
         design_stokes(replace(model, t_e=1e20), 4, (20, 23), (0, 1, 1, 0), 30.0)
 
 
