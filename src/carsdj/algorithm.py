@@ -196,9 +196,10 @@ class RunOptions:
     def resolved_window(self, n: int) -> tuple[int, int]:
         """The window of a run on n points; ValueError unless n is a domain
         size a run enumerates and the window holds n levels."""
-        if not (_is_level(n) and 1 <= n <= _MAX_ENUMERATION_N):
+        # A Stokes mask needs two lines to set its bin edges between.
+        if not (_is_level(n) and 2 <= n <= _MAX_ENUMERATION_N):
             raise ValueError(
-                f"domain size n must be an integer in [1, {_MAX_ENUMERATION_N}], "
+                f"domain size n must be an integer in [2, {_MAX_ENUMERATION_N}], "
                 f"got {n!r}"
             )
         if self.w_window is None:
@@ -406,7 +407,7 @@ def channel_weights(
     Raises
     ------
     ValueError
-        If n is not a domain size in [1, 16], the window does not hold n
+        If n is not a domain size in [2, 16], the window does not hold n
         retained upper levels, ``v_target`` is not a retained lower level,
         the window's lines are not positive and ascending, a delay multiple
         gives no finite phase, the pulse amplitudes overflow a weight or
@@ -573,13 +574,22 @@ def fidelity_table(
     One cell per row and delay, in row order, each enumerated once by
     ``all_outcomes``.  A configured ``options.w_window`` applies only to
     the rows whose n matches its size; the other rows use their default
-    windows.
+    windows.  A cell whose signals are all equal is refused with a
+    ValueError naming the durations, its n and its delay.
     """
     table = []
     for n, tailored in TABLE_ROWS:
         row = row_options(options, n, tailored)
         for m in tau_multiples:
             outcomes = all_outcomes(model, n, m, row)
+            # A Stokes pulse long enough to reach one line alone leaves every
+            # signal equal, and r undefined.
+            if outcomes.signals.max() == outcomes.signals.min():
+                raise ValueError(
+                    f"stokes_duration = {row.stokes_duration:g} and pump_duration = "
+                    f"{row.resolved_pump_duration():g} fs leave every signal of n = "
+                    f"{n} at delay multiple {m:g} equal; r is undefined"
+                )
             table.append(
                 FidelityMetrics(
                     tailored, outcomes, pearson_r(outcomes), distinguishability(outcomes)

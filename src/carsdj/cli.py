@@ -70,6 +70,7 @@ from .molecule import (
     IODINE_X,
     VibronicModel,
     build_model,
+    check_build,
     vibrational_period,
 )
 from .morse import (
@@ -77,7 +78,6 @@ from .morse import (
     anharmonicity,
     harmonic_wavenumber,
     morse_analytic_levels,
-    morse_potential,
 )
 from .pulses import DEFAULT_PROBE_DURATION, PulseSpec, design_probe, spectral_amplitude
 
@@ -219,22 +219,16 @@ class ExperimentConfig:
         at the first."""
         for key in fields(self):
             _check_range(key, getattr(self, key.name))
-        if self.r_min >= self.r_max:
-            raise ConfigError(
-                f"r_min ({self.r_min:g}) must be below r_max ({self.r_max:g})"
+        try:
+            check_build(
+                self.x_params(), self.b_params(), self.grid(), self.n_x_states,
+                self.n_b_states,
             )
-        # A Morse curve is largest at an end of the grid.
-        ends = np.array([self.r_min, self.r_max])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         # Sinc-basis momentum limit pi/dx of the finest grid n_points allows.
         k_finest = np.pi * (_MAX_GRID_POINTS - 1) / (self.r_max - self.r_min)
         for tag, params in (("x", self.x_params()), ("b", self.b_params())):
-            with np.errstate(over="ignore"):
-                finite = np.isfinite(morse_potential(params, ends)).all()
-            if not finite:
-                raise ConfigError(
-                    f"{tag}_d_e, {tag}_r_e and {tag}_beta make the Morse curve "
-                    f"overflow on the grid [{self.r_min:g}, {self.r_max:g}] angstrom"
-                )
             # Closed-form ground level E0 = omega_e/2 - omega_e x_e/4: if even
             # its momentum outruns the finest grid, no n_points can help.
             w = harmonic_wavenumber(params, self.reduced_mass)
@@ -247,12 +241,6 @@ class ExperimentConfig:
                     f"steep for any grid: its ground level's momentum {k0:.4g} "
                     f"/angstrom exceeds pi/dx = {k_finest:.4g} /angstrom even at "
                     f"n_points = {_MAX_GRID_POINTS}"
-                )
-        for key in ("n_x_states", "n_b_states"):
-            if getattr(self, key) > self.n_points:
-                raise ConfigError(
-                    f"{key} ({getattr(self, key)}) must not exceed n_points "
-                    f"({self.n_points})"
                 )
         if (self.w_min is None) != (self.w_max is None):
             raise ConfigError("w_min and w_max must be set together")

@@ -43,7 +43,8 @@ class Grid:
     def __post_init__(self) -> None:
         if not (self.r_min < self.r_max):
             raise ValueError(
-                f"grid interval is empty: [{self.r_min}, {self.r_max}]"
+                f"grid interval is empty: r_min ({self.r_min:g}) must be below "
+                f"r_max ({self.r_max:g})"
             )
         if self.n_points < 16:
             raise ValueError(f"need at least 16 grid points, got {self.n_points}")

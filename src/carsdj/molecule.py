@@ -135,7 +135,8 @@ def _solve_curve(
     top = sol.energies[-1]
     # A level whose momentum at the well bottom exceeds the sinc basis
     # limit pi/dx is an artefact of too few points, whatever the range.
-    k_top = math.sqrt(2.0 * reduced_mass * top / HBARSQ_CM1_AMU_ANG2)
+    # In Python floats a huge level overflows to inf, without a warning.
+    k_top = math.sqrt(2.0 * reduced_mass * float(top) / HBARSQ_CM1_AMU_ANG2)
     if k_top > math.pi / grid.spacing:
         raise ValueError(
             f"grid of n_points = {grid.n_points} too coarse for {label} level "
@@ -180,13 +181,21 @@ def build_model(
     """Solve both curves on a shared grid and form the overlap matrix.
 
     ``n_x`` and ``n_b`` are upper bounds; levels failing the bound-state
-    cutoff are dropped.  Raises if the grid cannot contain the turning
-    points of every retained state with a safe margin.
+    cutoff are dropped.
 
     The last model built is cached per process, keyed by the six
     arguments however they are passed, so a repeated build returns the
     same object.  Every array of the model is read-only; failed builds
     are not cached.
+
+    Raises
+    ------
+    ValueError
+        Naming the config keys that can fix it, if ``check_build`` refuses
+        the inputs, a curve's well is too steep to solve or binds no level
+        on the grid, the grid is too coarse for the top retained level, or
+        a retained level's turning points come within 0.25 angstrom of an
+        end of the grid (or below r = 0).
     """
     return _cached_model(x_params, b_params, reduced_mass, grid, n_x, n_b)
 
@@ -202,6 +211,7 @@ def _cached_model(
     n_x: int,
     n_b: int,
 ) -> VibronicModel:
+    check_build(x_params, b_params, grid, n_x, n_b)
     x_sol = _solve_curve(x_params, grid, reduced_mass, n_x, "x")
     b_sol = _solve_curve(b_params, grid, reduced_mass, n_b, "b")
     return VibronicModel(
@@ -211,6 +221,27 @@ def _cached_model(
         t_e=b_params.t_e - x_params.t_e,
         reduced_mass=reduced_mass,
     )
+
+
+def check_build(
+    x_params: MorseParams, b_params: MorseParams, grid: Grid, n_x: int, n_b: int
+) -> None:
+    """ValueError naming its keys if a curve overflows or a count exceeds n_points."""
+    # A Morse curve is largest at an end of the grid.
+    ends = np.array([grid.r_min, grid.r_max])
+    for tag, params in (("x", x_params), ("b", b_params)):
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(morse_potential(params, ends)).all()
+        if not finite:
+            raise ValueError(
+                f"{tag}_d_e, {tag}_r_e and {tag}_beta make the Morse curve "
+                f"overflow on the grid [{grid.r_min:g}, {grid.r_max:g}] angstrom"
+            )
+    for key, count in (("n_x_states", n_x), ("n_b_states", n_b)):
+        if count > grid.n_points:
+            raise ValueError(
+                f"{key} ({count}) must not exceed n_points ({grid.n_points})"
+            )
 
 
 def checked_window(

@@ -269,6 +269,20 @@ def test_fidelity_table_cells_equal_all_outcomes(model):
         assert (m.r, m.d) == (pearson_r(direct), distinguishability(direct))
 
 
+def test_a_cell_of_equal_signals_is_refused_naming_the_durations():
+    # a Stokes pulse so long that it reaches only the line on its carrier
+    # leaves all 16 signals equal; pearson_r once refused naming no key
+    model = replace(
+        build_model(IODINE_X, replace(IODINE_B, d_e=1000.0)), t_e=6.4492059155592776e16
+    )
+    message = (
+        "stokes_duration = 1e+300 and pump_duration = 30 fs leave every signal "
+        "of n = 4 at delay multiple 0 equal; r is undefined"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fidelity_table(model, (0.0,), RunOptions(stokes_duration=1e300, v_target=0))
+
+
 def test_table_rows_of_another_size_use_default_windows(model):
     # a configured window applies only to the row whose n matches it
     options = RunOptions(w_window=(20, 25))
@@ -927,10 +941,13 @@ def test_numpy_integer_levels_run_as_their_python_values(model):
     assert signals.tobytes() == all_outcomes(model, 4, 1.0).signals.tobytes()
 
 
-@pytest.mark.parametrize(("n", "window"), [(17, (13, 29)), (18, (13, 30)), (0, None)])
+@pytest.mark.parametrize(
+    ("n", "window"), [(17, (13, 29)), (18, (13, 30)), (0, None), (1, (22, 22))]
+)
 def test_a_domain_size_beyond_the_enumerable_range_is_refused(model, n, window):
-    # n = 18 once returned 2^18 signals; nothing stopped 2^40
-    message = f"domain size n must be an integer in [1, 16], got {n}"
+    # n = 18 once returned 2^18 signals; nothing stopped 2^40. n = 1 was
+    # admitted, then refused by the Stokes mask without naming n.
+    message = f"domain size n must be an integer in [2, 16], got {n}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         all_outcomes(model, n, 1.0, RunOptions(w_window=window))
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -980,18 +997,18 @@ def _library_inputs(draw):
     return n, keywords, tuple(draw(st.lists(delays, min_size=1, max_size=3)))
 
 
-# The refusals of the line, level and domain-size checks, which name their
-# field, n or b_t_e, then those a drawn run may meet for other reasons: a
-# Stokes pulse so long that it reaches one line alone leaves fidelity_table
-# a degenerate outcome set.
+# The refusals of the line, level, domain-size and equal-signal checks,
+# which name their field, n, b_t_e or the durations (a Stokes pulse so long
+# that it reaches one line alone leaves a fidelity_table cell every signal
+# equal), then those a drawn run may meet for other reasons.
 _NAMED_REFUSAL = re.compile(
     r"^b_t_e = \S+ cm\^-1 (and (v_target = -?\d+|lower level 0) put the lowest line"
     r"|swamps upper levels)|^(w_window|v_target) must be|^domain size n must"
+    r"|^stokes_duration = \S+ and pump_duration = \S+ fs leave every signal of n ="
 )
 _OTHER_REFUSAL = re.compile(
     r"^(empty window|window \[|no default window|target level|delay multiple"
-    r"|pump_amplitude = |cannot equalise|mask construction needs"
-    r"|degenerate outcome set|constant-function signal vanished)"
+    r"|pump_amplitude = |cannot equalise|constant-function signal vanished)"
 )
 
 

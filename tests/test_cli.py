@@ -22,12 +22,15 @@ import carsdj.cli as cli
 from carsdj import RunOptions, all_outcomes
 from carsdj.cli import ConfigError, main, parse_config
 from carsdj.algorithm import design_pulses
+from carsdj.dvr import Grid
 from carsdj.dynamics import (
     apply_stokes,
     prepare_first_order,
     random_oracle_configs,
     signal_magnitude,
 )
+from carsdj.molecule import build_model
+from carsdj.morse import MorseParams
 
 
 def _read_csv(path):
@@ -1026,6 +1029,36 @@ def test_a_line_refusal_is_the_library_s_word_for_word(
             random_oracle_configs(np.random.default_rng(cfg.oracle_seed), model, 1)
         else:
             design_pulses(model, cfg.resolved_window(), (0,) * cfg.n, cfg.run_options())
+    assert err == f"error: {refusal.value}\n"
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        {"r_min": 6.0, "r_max": 3.0},
+        {"x_beta": 1000.0},
+        {"b_r_e": 1e300},
+        {"n_points": 30, "n_x_states": 40},
+    ],
+)
+def test_a_build_refusal_is_the_library_s_word_for_word(tmp_path, capsys, keys):
+    # the library owns the grid, curve and state-count checks; the CLI only
+    # reports their refusal
+    config = tmp_path / "run.conf"
+    config.write_text("".join(f"{key} = {value}\n" for key, value in keys.items()))
+    assert main(["eigen", "--config", str(config), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    v = {key.name: key.default for key in dataclasses.fields(cli.ExperimentConfig)}
+    v.update(keys)
+    with pytest.raises(ValueError) as refusal:
+        build_model(
+            MorseParams(v["x_d_e"], v["x_r_e"], v["x_beta"]),
+            MorseParams(v["b_d_e"], v["b_r_e"], v["b_beta"], v["b_t_e"]),
+            v["reduced_mass"],
+            Grid(v["r_min"], v["r_max"], v["n_points"]),
+            v["n_x_states"],
+            v["n_b_states"],
+        )
     assert err == f"error: {refusal.value}\n"
 
 

@@ -1,10 +1,14 @@
 """Two-surface model: level accuracy, overlap structure, and window helpers."""
 
 import math
+import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from carsdj.cli import ExperimentConfig
 from carsdj.constants import HBARSQ_CM1_AMU_ANG2
@@ -14,6 +18,7 @@ from carsdj.molecule import (
     IODINE_B,
     IODINE_REDUCED_MASS,
     IODINE_X,
+    VibronicModel,
     _cached_model,
     build_model,
     checked_window,
@@ -21,7 +26,7 @@ from carsdj.molecule import (
     vibrational_period,
     with_equalized_fc,
 )
-from carsdj.morse import morse_analytic_levels
+from carsdj.morse import MorseParams, morse_analytic_levels
 
 
 def test_default_model_shape(model):
@@ -169,6 +174,53 @@ def test_a_grid_reaching_r_0_is_blamed_for_a_wide_well(r_min):
     wide = replace(IODINE_X, beta=1e-300)
     with pytest.raises(ValueError, match=r"too small .* points \(-\d\.\d+e\+298, "):
         build_model(x_params=wide, grid=Grid(r_min, 6.5, 512))
+
+
+# Every key a build refusal may name: the Morse parameters of either curve,
+# the mass, the grid and the state counts.
+_BUILD_KEY = re.compile(
+    r"\b([xb]_(d_e|r_e|beta)|reduced_mass|r_min|r_max|n_points|n_[xb]_states)\b"
+)
+
+
+@st.composite
+def _curve(draw, base):
+    """``base`` with each of d_e, r_e and beta kept or replaced by 10^U(-300, 300)."""
+    magnitude = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+    d_e, r_e, beta = (
+        draw(st.just(value) | magnitude) for value in (base.d_e, base.r_e, base.beta)
+    )
+    return MorseParams(d_e, r_e, beta, base.t_e)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(
+    _curve(IODINE_X),
+    _curve(IODINE_B),
+    st.just(IODINE_REDUCED_MASS) | st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
+    st.just(2.0) | st.floats(-1.0, 4.0),
+    st.just(6.5) | st.floats(0.5, 9.0),
+    st.sampled_from([16, 64, 256, 512]),
+    st.integers(1, 600),
+    st.integers(1, 600),
+)
+# a level so high that its momentum overflowed a numpy scalar
+@example(replace(IODINE_X, d_e=1e300), IODINE_B, 1e10, 2.0, 6.5, 512, 40, 40)
+def test_any_build_returns_a_model_or_names_a_key(
+    x_params, b_params, reduced_mass, r_min, r_max, n_points, n_x, n_b
+):
+    # the grid and the build refuse what they cannot solve with a
+    # ValueError naming a config key; never a warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            grid = Grid(r_min, r_max, n_points)
+            built = build_model(x_params, b_params, reduced_mass, grid, n_x, n_b)
+        except ValueError as exc:
+            assert _BUILD_KEY.search(str(exc)), str(exc)
+        else:
+            assert isinstance(built, VibronicModel)
+    assert not caught, [str(w.message) for w in caught]
 
 
 def _model_arrays(model):
