@@ -47,14 +47,11 @@ from .algorithm import (
     design_pulses,
     fidelity_table,
     prepare_model,
-    row_options,
     sweep_delay,
 )
 from .constants import HBARSQ_CM1_AMU_ANG2, TWO_PI_C
 from .dvr import Grid
 from .dynamics import (
-    ORACLE_TARGET_LEVELS,
-    ORACLE_UPPER_LEVELS,
     apply_stokes,
     prepare_first_order,
     random_oracle_configs,
@@ -290,11 +287,10 @@ class ExperimentConfig:
             flat_envelopes=self.flat,
         )
 
-    def build(self, upper: int = 0, lower: int = 0) -> VibronicModel:
-        """Solve the model; ConfigError unless it retains upper level ``upper``
-        and lower level ``lower`` (the bound-state cutoff may retain fewer
-        levels than ``n_b_states`` and ``n_x_states`` ask for)."""
-        model = build_model(
+    def build(self) -> VibronicModel:
+        """Solve the model; the library refuses, naming the key, a run that
+        needs a level the model did not retain."""
+        return build_model(
             x_params=self.x_params(),
             b_params=self.b_params(),
             reduced_mass=self.reduced_mass,
@@ -302,33 +298,6 @@ class ExperimentConfig:
             n_x=self.n_x_states,
             n_b=self.n_b_states,
         )
-        for tag, side, level, kept in (
-            ("b", "upper", upper, model.n_b),
-            ("x", "lower", lower, model.n_x),
-        ):
-            if level < kept:
-                continue
-            key = f"n_{tag}_states"
-            why = f"{key} = {getattr(self, key)} retained only {kept} {side} levels"
-            # Fewer levels than requested: the curve, not the request, fell short.
-            if kept < getattr(self, key):
-                why = (
-                    f"{tag}_d_e = {getattr(self, f'{tag}_d_e'):.4g} cm^-1, {tag}_beta "
-                    f"= {getattr(self, f'{tag}_beta'):.4g} and reduced_mass = "
-                    f"{self.reduced_mass:.4g} bind only {kept} {side} levels below "
-                    "the cutoff"
-                )
-            raise ConfigError(
-                f"this run needs {side} level {level}, but {why} (0-{kept - 1})"
-            )
-        return model
-
-    def prepared_model(self) -> VibronicModel:
-        """Model with the tailored equalization applied when requested."""
-        if not self.tailored:
-            return self.build()
-        model = self.build(self.resolved_window()[1], self.v_target)
-        return prepare_model(model, self.run_options(), self.n)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +548,7 @@ def _cmd_eigen(config: ExperimentConfig, args) -> Iterator[Table]:
 
 def _cmd_fc(config: ExperimentConfig, args) -> Iterator[Table]:
     """overlap matrix and transition table"""
-    model = config.prepared_model()
+    model, _ = prepare_model(config.build(), config.run_options(), config.n)
     w, v = np.indices(model.fc.shape)
     columns = {"w": w, "v": v, "fc": model.fc, "nu_cm1": model.nu}
     yield Table("fc.csv", {name: values.ravel() for name, values in columns.items()})
@@ -627,15 +596,11 @@ def _spectrum(
     return Table(name, {"nu_cm1": nu, "re_amp": amp.real, "im_amp": amp.imag}, extra)
 
 
-def _delay_model(
-    config: ExperimentConfig, key: str, *windows: tuple[int, int]
-) -> tuple[VibronicModel, float]:
+def _delay_model(config: ExperimentConfig, key: str) -> tuple[VibronicModel, float]:
     """Model of a run timed in upper-state periods, and the period tau_B;
-    ConfigError unless it retains ``v_target``, every window and level
-    ``PERIOD_LEVEL + 1``, and the delays under ``key`` keep every
-    transition's evolution phase finite."""
-    top = max(PERIOD_LEVEL + 1, *(w_hi for _, w_hi in windows))
-    model = config.build(top, config.v_target)
+    ConfigError unless the delays under ``key`` keep every transition's
+    evolution phase finite."""
+    model = config.build()
     tau_b = vibrational_period(model, "B", PERIOD_LEVEL)
     _check_phase(config, key, tau_b, model.nu.max())
     return model, tau_b
@@ -657,7 +622,7 @@ def _check_phase(
 def _cmd_pulses(config: ExperimentConfig, args) -> Iterator[Table]:
     """complex pulse spectra"""
     window = config.resolved_window()
-    model, tau_b = _delay_model(config, "tau", window)
+    model, tau_b = _delay_model(config, "tau")
     masks = _parse_masks(getattr(args, "mask", None), config.n)
     if not masks:
         masks = [BooleanFunction((0,) * config.n)]
@@ -687,7 +652,7 @@ def _cmd_pulses(config: ExperimentConfig, args) -> Iterator[Table]:
 
 def _cmd_sweep(config: ExperimentConfig, args) -> Iterator[Table]:
     """signal-versus-delay traces"""
-    model, tau_b = _delay_model(config, "sweep_max_multiple", config.resolved_window())
+    model, tau_b = _delay_model(config, "sweep_max_multiple")
     options = config.run_options()
     masks = _parse_masks(getattr(args, "mask", None), config.n)
     if not masks:
@@ -717,10 +682,8 @@ def _cmd_table1(config: ExperimentConfig, args) -> Iterator[Table]:
             f"n = {config.n} does not apply to table1: its rows run n = "
             f"{', '.join(map(str, sizes))}, so it would change only the header"
         )
-    options = config.run_options()
-    windows = (row_options(options, n, t).resolved_window(n) for n, t in TABLE_ROWS)
-    model, _ = _delay_model(config, "tau", *windows)
-    table = fidelity_table(model, config.tau, options)
+    model, _ = _delay_model(config, "tau")
+    table = fidelity_table(model, config.tau, config.run_options())
     metrics = ("n", "tau_multiple", "tailored", "r", "d", "r_pct", "d_pct")
     yield Table(
         "metrics.csv", {name: [getattr(m, name) for m in table] for name in metrics}
@@ -758,7 +721,7 @@ def _cmd_table1(config: ExperimentConfig, args) -> Iterator[Table]:
 
 def _cmd_oracle_check(config: ExperimentConfig, args) -> Iterator[Table]:
     """frequency- vs time-domain agreement"""
-    model = config.build(ORACLE_UPPER_LEVELS[1], ORACLE_TARGET_LEVELS[1])
+    model = config.build()
     rng = np.random.default_rng(config.oracle_seed)
     configs = random_oracle_configs(rng, model, config.oracle_configs)
     rows = []

@@ -47,7 +47,7 @@ class Grid:
                 f"r_max ({self.r_max:g})"
             )
         if self.n_points < 16:
-            raise ValueError(f"need at least 16 grid points, got {self.n_points}")
+            raise ValueError(f"n_points must be at least 16, got {self.n_points}")
 
     @property
     def spacing(self) -> float:
@@ -86,7 +86,7 @@ def kinetic_matrix(grid: Grid, reduced_mass: float) -> np.ndarray:
     finite.
     """
     if reduced_mass <= 0.0:
-        raise ValueError(f"reduced mass must be positive, got {reduced_mass}")
+        raise ValueError(f"reduced_mass must be positive, got {reduced_mass}")
     offset = np.arange(grid.n_points)
     with np.errstate(divide="ignore"):
         row = 2.0 * np.where(offset % 2 == 0, 1.0, -1.0) / (offset.astype(float) ** 2)

@@ -58,6 +58,9 @@ class VibronicModel:
         Electronic offset between the two minima in cm^-1.
     reduced_mass : float
         Reduced mass in amu.
+    requested : dict or None
+        Per curve tag, "x" or "b", the Morse parameters and state count
+        ``build_model`` was asked for; None for a model built by hand.
     """
 
     x_states: EigenSolution
@@ -65,6 +68,7 @@ class VibronicModel:
     fc: np.ndarray
     t_e: float
     reduced_mass: float
+    requested: dict[str, tuple[MorseParams, int]] | None = None
 
     def __post_init__(self) -> None:
         for sol in (self.x_states, self.b_states):
@@ -220,13 +224,15 @@ def _cached_model(
         fc=b_sol.wavefunctions @ x_sol.wavefunctions.T,
         t_e=b_params.t_e - x_params.t_e,
         reduced_mass=reduced_mass,
+        requested={"x": (x_params, n_x), "b": (b_params, n_b)},
     )
 
 
 def check_build(
     x_params: MorseParams, b_params: MorseParams, grid: Grid, n_x: int, n_b: int
 ) -> None:
-    """ValueError naming its keys if a curve overflows or a count exceeds n_points."""
+    """ValueError naming its keys if a curve overflows or a count is below 1
+    or exceeds n_points."""
     # A Morse curve is largest at an end of the grid.
     ends = np.array([grid.r_min, grid.r_max])
     for tag, params in (("x", x_params), ("b", b_params)):
@@ -238,10 +244,32 @@ def check_build(
                 f"overflow on the grid [{grid.r_min:g}, {grid.r_max:g}] angstrom"
             )
     for key, count in (("n_x_states", n_x), ("n_b_states", n_b)):
+        if count < 1:
+            raise ValueError(f"{key} must be at least 1, got {count}")
         if count > grid.n_points:
             raise ValueError(
                 f"{key} ({count}) must not exceed n_points ({grid.n_points})"
             )
+
+
+def check_retained(model: VibronicModel, tag: str, level: int) -> None:
+    """ValueError naming the key that keeps more levels unless nonnegative
+    ``level`` of curve ``tag``, "x" (lower) or "b" (upper), is retained."""
+    side, kept = ("lower", model.n_x) if tag == "x" else ("upper", model.n_b)
+    if level < kept:
+        return
+    why = f"the model retains only {kept} {side} levels"
+    if model.requested is not None:
+        params, count = model.requested[tag]
+        why = f"n_{tag}_states = {count} retained only {kept} {side} levels"
+        # Fewer levels than requested: the curve, not the request, fell short.
+        if kept < count:
+            why = (
+                f"{tag}_d_e = {params.d_e:.4g} cm^-1, {tag}_beta = {params.beta:.4g} "
+                f"and reduced_mass = {model.reduced_mass:.4g} bind only {kept} "
+                f"{side} levels below the cutoff"
+            )
+    raise ValueError(f"this run needs {side} level {level}, but {why} (0-{kept - 1})")
 
 
 def checked_window(
@@ -249,20 +277,24 @@ def checked_window(
 ) -> np.ndarray:
     """Upper levels of an inclusive window, ascending, after validation.
 
-    Raises ValueError unless the window is non-empty and retained, and
-    so is the lower level ``v_target`` when given.
+    Raises ValueError unless the window is non-empty and nonnegative, and
+    ``check_retained`` accepts its top level and lower level ``v_target``.
     """
     w_lo, w_hi = w_window
     if w_lo > w_hi:
         raise ValueError(f"empty window [{w_lo}, {w_hi}]")
-    if w_lo < 0 or w_hi >= model.n_b:
+    if w_lo < 0:
         raise ValueError(
             f"window [{w_lo}, {w_hi}] outside retained upper levels [0, {model.n_b})"
         )
-    if v_target is not None and not 0 <= v_target < model.n_x:
-        raise ValueError(
-            f"target level {v_target} outside retained lower levels [0, {model.n_x})"
-        )
+    check_retained(model, "b", w_hi)
+    if v_target is not None:
+        if v_target < 0:
+            raise ValueError(
+                f"target level {v_target} outside retained lower levels "
+                f"[0, {model.n_x})"
+            )
+        check_retained(model, "x", v_target)
     return np.arange(w_lo, w_hi + 1)
 
 
@@ -302,8 +334,8 @@ def transition_wavenumber(model: VibronicModel, w: int, v: int) -> float:
 def vibrational_period(model: VibronicModel, surface: str, level: int) -> float:
     """Classical period 1 / (c * local spacing) in fs at the given level.
 
-    The local spacing is E(level+1) - E(level), so ``level`` must not be
-    the top retained state.
+    The local spacing is E(level+1) - E(level), so ``check_retained`` must
+    accept ``level + 1``.
     """
     if surface == "X":
         states = model.x_states
@@ -311,11 +343,12 @@ def vibrational_period(model: VibronicModel, surface: str, level: int) -> float:
         states = model.b_states
     else:
         raise ValueError(f"surface must be 'X' or 'B', got {surface!r}")
-    if not (0 <= level < states.n_bound - 1):
+    if level < 0:
         raise ValueError(
             f"need level and level+1 retained on {surface}; "
             f"got level {level} with {states.n_bound} states"
         )
+    check_retained(model, surface.lower(), level + 1)
     spacing = float(states.energies[level + 1] - states.energies[level])
     return 1.0 / (C_CM_PER_FS * spacing)
 

@@ -37,8 +37,20 @@ from carsdj.algorithm import (
     s_n,
     sweep_delay,
 )
-from carsdj.dynamics import apply_stokes, prepare_first_order
-from carsdj.molecule import IODINE_B, IODINE_X, build_model, vibrational_period
+from carsdj.dynamics import (
+    apply_stokes,
+    prepare_first_order,
+    random_oracle_configs,
+    time_domain_oracle,
+)
+from carsdj.molecule import (
+    IODINE_B,
+    IODINE_X,
+    build_model,
+    vibrational_period,
+    with_equalized_fc,
+)
+from carsdj.pulses import design_probe, design_pump, design_stokes
 
 _KERNEL_TAUS = (0.0, 0.5, 1.0, 1.5, 2.0)
 
@@ -380,7 +392,7 @@ def test_channel_weights_reject_bad_windows_and_targets(model):
         channel_weights(model, 3, (0.0,))
     with pytest.raises(ValueError, match="upper level"):
         channel_weights(model, 4, (0.0,), RunOptions(w_window=(38, 41)))
-    with pytest.raises(ValueError, match="outside retained"):
+    with pytest.raises(ValueError, match="upper level 41, but n_b_states = 40"):
         channel_weights(model, 4, (0.0,), RunOptions(w_window=(38, 41), tailored=True))
     with pytest.raises(ValueError, match="lower level"):
         channel_weights(model, 4, (0.0,), RunOptions(v_target=40))
@@ -715,7 +727,7 @@ def test_a_list_window_is_keyed_as_its_tuple(model):
 
 def test_a_failing_run_is_not_cached(model, monkeypatch):
     fresh = replace(model)
-    with pytest.raises(ValueError, match="outside retained"):
+    with pytest.raises(ValueError, match="upper level 41, but n_b_states = 40"):
         channel_weights(fresh, 4, (0.0,), RunOptions(w_window=(38, 41)))
     design = algorithm.design_pump
     failures = [ValueError("design failed once")]
@@ -954,6 +966,51 @@ def test_a_domain_size_beyond_the_enumerable_range_is_refused(model, n, window):
         RunOptions(w_window=window).resolved_window(n)
 
 
+@pytest.mark.parametrize(
+    ("build", "named", "absent"),
+    [
+        ({"n_b": 20}, ("n_b_states",), ("b_d_e", "b_beta")),
+        (
+            {"b_params": replace(IODINE_B, d_e=400.0)},
+            ("b_d_e", "b_beta", "reduced_mass"),
+            ("n_b_states",),
+        ),
+        ({"n_x": 3}, ("n_x_states",), ("x_d_e", "x_beta")),
+    ],
+    ids=["n_b_states", "b_d_e", "n_x_states"],
+)
+def test_every_entry_point_names_the_key_that_keeps_a_missing_level(
+    model, build, named, absent
+):
+    # A run that needs a level the model did not keep names the state count
+    # when the request fell short, and the curve's keys when the bound-state
+    # cutoff did; the library's level checks once named no key.
+    short = build_model(**build)
+    window, f = (20, 23), BooleanFunction((0, 1, 0, 1))
+    pump = design_pump(model, window, 30.0)
+    stokes = design_stokes(model, 4, window, (0, 0, 0, 0), 30.0)
+    surface, level = ("X", 4) if "n_x" in build else ("B", PERIOD_LEVEL)
+    calls = [
+        lambda: all_outcomes(short, 4, 1.0),
+        lambda: sweep_delay(short, f, np.array([0.0, 1.0])),
+        lambda: fidelity_table(short),
+        lambda: run_instance(short, f, 1.0),
+        lambda: design_probe(short, PERIOD_LEVEL, 4),
+        lambda: with_equalized_fc(short, window, 4),
+        lambda: time_domain_oracle(short, pump, stokes, 4, window),
+        lambda: random_oracle_configs(np.random.default_rng(0), short, 1),
+        lambda: vibrational_period(short, surface, level),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^this run needs") as refusal:
+            call()
+        message = str(refusal.value)
+        for key in named:
+            assert re.search(rf"\b{key}\b", message), message
+        for key in absent:
+            assert not re.search(rf"\b{key}\b", message), message
+
+
 # Morse curves of the library fuzz beside the default: one binds only 31
 # upper levels, one spaces the lower levels wider, lowering their lines.
 _FUZZ_CURVES = (
@@ -997,14 +1054,17 @@ def _library_inputs(draw):
     return n, keywords, tuple(draw(st.lists(delays, min_size=1, max_size=3)))
 
 
-# The refusals of the line, level, domain-size and equal-signal checks,
-# which name their field, n, b_t_e or the durations (a Stokes pulse so long
-# that it reaches one line alone leaves a fidelity_table cell every signal
-# equal), then those a drawn run may meet for other reasons.
+# The refusals of the line, level, retention, domain-size and equal-signal
+# checks, which name their field, n, b_t_e, the curve's keys or the durations
+# (a Stokes pulse so long that it reaches one line alone leaves a
+# fidelity_table cell every signal equal), then those a drawn run may meet
+# for other reasons; of these, the window and target refusals are left only
+# to negative levels.
 _NAMED_REFUSAL = re.compile(
     r"^b_t_e = \S+ cm\^-1 (and (v_target = -?\d+|lower level 0) put the lowest line"
     r"|swamps upper levels)|^(w_window|v_target) must be|^domain size n must"
     r"|^stokes_duration = \S+ and pump_duration = \S+ fs leave every signal of n ="
+    r"|^this run needs (upper|lower) level \d+, but"
 )
 _OTHER_REFUSAL = re.compile(
     r"^(empty window|window \[|no default window|target level|delay multiple"
@@ -1052,6 +1112,8 @@ def test_any_library_run_gives_finite_signals_or_names_what_is_wrong(
             assert _NAMED_REFUSAL.search(message) or _OTHER_REFUSAL.search(message), (
                 message
             )
+            if re.match(r"^(window \[|target level)", message):
+                assert re.match(r"^(window \[|target level )-\d", message), message
             levels = (*(keywords["w_window"] or ()), keywords["v_target"])
             if not all(isinstance(v, (int, np.integer)) for v in levels):
                 assert re.match("^(w_window|v_target) must be", message), message

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import carsdj.cli as cli
 from carsdj import RunOptions, all_outcomes
 from carsdj.cli import ConfigError, main, parse_config
-from carsdj.algorithm import design_pulses
+from carsdj.algorithm import BooleanFunction, design_pulses, prepare_model, sweep_delay
 from carsdj.dvr import Grid
 from carsdj.dynamics import (
     apply_stokes,
@@ -1059,6 +1059,39 @@ def test_a_build_refusal_is_the_library_s_word_for_word(tmp_path, capsys, keys):
             v["n_x_states"],
             v["n_b_states"],
         )
+    assert err == f"error: {refusal.value}\n"
+
+
+@pytest.mark.parametrize(
+    ("text", "command"),
+    [
+        ("n_b_states = 20\n", "sweep"),
+        ("b_d_e = 400\n", "pulses"),
+        ("b_d_e = 400\n", "oracle-check"),
+        ("n = 8\ntailored = true\nn_b_states = 24\n", "fc"),
+        ("x_d_e = 20\n", "sweep"),
+    ],
+)
+def test_a_retention_refusal_is_the_library_s_word_for_word(
+    tmp_path, capsys, text, command
+):
+    # the library owns the check that a run's levels were kept; the CLI no
+    # longer works out which levels a subcommand needs
+    config = tmp_path / "run.conf"
+    config.write_text(text)
+    assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    cfg = parse_config(text)
+    model, options = cfg.build(), cfg.run_options()
+    with pytest.raises(ValueError) as refusal:
+        if command == "oracle-check":
+            random_oracle_configs(np.random.default_rng(cfg.oracle_seed), model, 1)
+        elif command == "fc":
+            prepare_model(model, options, cfg.n)
+        elif command == "pulses":
+            design_pulses(model, cfg.resolved_window(), (0,) * cfg.n, options)
+        else:
+            sweep_delay(model, BooleanFunction((0,) * cfg.n), np.array([0.0]), options)
     assert err == f"error: {refusal.value}\n"
 
 

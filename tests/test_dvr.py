@@ -77,7 +77,7 @@ def test_kinetic_matrix_rejects_non_finite_entries(reduced_mass):
 @pytest.mark.parametrize("reduced_mass", [0.0, -1.0])
 def test_kinetic_matrix_rejects_a_mass_that_is_not_positive(reduced_mass):
     with pytest.raises(
-        ValueError, match=f"^reduced mass must be positive, got {reduced_mass}$"
+        ValueError, match=f"^reduced_mass must be positive, got {reduced_mass}$"
     ):
         kinetic_matrix(DEFAULT_GRID, reduced_mass)
 

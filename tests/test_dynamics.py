@@ -60,7 +60,7 @@ def test_pump_delay_adds_the_expected_phase(model):
 
 def test_first_order_rejects_out_of_range_windows(model):
     pump = design_pump(model, WINDOW, duration_fwhm=30.0)
-    with pytest.raises(ValueError, match="window"):
+    with pytest.raises(ValueError, match="upper level 45, but n_b_states = 40"):
         prepare_first_order(model, pump, (35, 45))
 
 
@@ -194,9 +194,9 @@ def test_unit_phases_equal_the_complex_exponentials(model):
 def test_time_quadrature_validates_inputs(model):
     pump = design_pump(model, WINDOW, duration_fwhm=30.0)
     stokes = PulseSpec(center=17100.0, duration_fwhm=30.0)
-    with pytest.raises(ValueError, match="target level"):
+    with pytest.raises(ValueError, match="lower level 40, but n_x_states = 40"):
         time_domain_oracle(model, pump, stokes, 40, WINDOW)
-    with pytest.raises(ValueError, match="window"):
+    with pytest.raises(ValueError, match="upper level 45, but n_b_states = 40"):
         time_domain_oracle(model, pump, stokes, 4, (38, 45))
 
 

@@ -118,7 +118,7 @@ def test_vibrational_periods(model):
     assert vibrational_period(model, "X", 0) == pytest.approx(156.796206, abs=1e-3)
     with pytest.raises(ValueError, match="surface"):
         vibrational_period(model, "C", 0)
-    with pytest.raises(ValueError, match=r"level and level\+1"):
+    with pytest.raises(ValueError, match="upper level 40, but n_b_states = 40"):
         vibrational_period(model, "B", 39)
 
 
@@ -129,10 +129,20 @@ def test_window_scores_peak_at_the_central_level(model):
         scores = np.abs(model.fc[ws, 0] * model.fc[ws, 4])
         assert int(ws[np.argmax(scores)]) == 22
         assert scores.max() / scores.min() == pytest.approx(ratio, abs=1e-3)
-    with pytest.raises(ValueError, match="window"):
+    with pytest.raises(ValueError, match="upper level 45, but n_b_states = 40"):
         checked_window(model, (30, 45), 4)
-    with pytest.raises(ValueError, match="target level"):
+    with pytest.raises(ValueError, match="lower level 60, but n_x_states = 40"):
         checked_window(model, (20, 23), 60)
+
+
+def test_a_model_built_by_hand_names_only_the_levels(harmonic_model):
+    # no build request was recorded, so no key can be blamed
+    message = (
+        "this run needs upper level 12, but the model retains only 12 upper "
+        "levels (0-11)"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        checked_window(harmonic_model, (9, 12))
 
 
 def test_equalized_overlaps(model):
@@ -152,9 +162,9 @@ def test_equalized_overlaps(model):
 
 
 def test_equalized_overlaps_validation(model):
-    with pytest.raises(ValueError, match="window"):
+    with pytest.raises(ValueError, match="upper level 41, but n_b_states = 40"):
         with_equalized_fc(model, (39, 41), 4)
-    with pytest.raises(ValueError, match="target level"):
+    with pytest.raises(ValueError, match="lower level 60, but n_x_states = 40"):
         with_equalized_fc(model, (18, 25), 60)
     fc_bad = model.fc.copy()
     fc_bad[20, 0] = 0.0
@@ -197,15 +207,20 @@ def _curve(draw, base):
 @given(
     _curve(IODINE_X),
     _curve(IODINE_B),
-    st.just(IODINE_REDUCED_MASS) | st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
+    st.just(IODINE_REDUCED_MASS)
+    | st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+    | st.sampled_from([0.0, -1.0, -IODINE_REDUCED_MASS]),
     st.just(2.0) | st.floats(-1.0, 4.0),
     st.just(6.5) | st.floats(0.5, 9.0),
-    st.sampled_from([16, 64, 256, 512]),
-    st.integers(1, 600),
-    st.integers(1, 600),
+    st.sampled_from([16, 64, 256, 512]) | st.integers(-2, 15),
+    st.integers(1, 600) | st.integers(-2, 0),
+    st.integers(1, 600) | st.integers(-2, 0),
 )
 # a level so high that its momentum overflowed a numpy scalar
 @example(replace(IODINE_X, d_e=1e300), IODINE_B, 1e10, 2.0, 6.5, 512, 40, 40)
+# refusals that the grid's and the lower curve's checks shadow in the draws
+@example(IODINE_X, IODINE_B, IODINE_REDUCED_MASS, 2.0, 6.5, 512, 40, 0)
+@example(IODINE_X, IODINE_B, 0.0, 2.0, 6.5, 512, 40, 40)
 def test_any_build_returns_a_model_or_names_a_key(
     x_params, b_params, reduced_mass, r_min, r_max, n_points, n_x, n_b
 ):
