@@ -30,9 +30,11 @@ one function and is the oracle the tests check the kernel against.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
@@ -44,7 +46,7 @@ from .dynamics import (
     signal_magnitude,
     stokes_emission,
 )
-from .molecule import VibronicModel, vibrational_period, with_equalized_fc
+from .molecule import VibronicModel, _is_level, vibrational_period, with_equalized_fc
 from .pulses import PulseSpec, design_pump, design_stokes
 
 # Upper level whose local spacing defines the reference period tau_B.
@@ -154,11 +156,6 @@ def _selection(n: int) -> _Selection:
     return _Selection(s, balanced, centred, bool(np.ptp(ideal) == 0.0))
 
 
-def _is_level(v: object) -> bool:
-    """Whether ``v`` indexes a level: a Python or numpy integer, not a bool."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
 @dataclass(frozen=True)
 class RunOptions:
     """Knobs for one classification run.
@@ -192,6 +189,18 @@ class RunOptions:
             raise ValueError(
                 f"v_target must be an integer level, got {self.v_target!r}"
             )
+        # An infinite or nan amplitude turns the weights into nan, with a
+        # warning, and such a duration makes no pulse; None is the auto pump
+        # duration.
+        numbers = ("stokes_duration", "pump_amplitude", "stokes_amplitude")
+        if self.pump_duration is not None:
+            numbers = ("pump_duration", *numbers)
+        for name in numbers:
+            value = getattr(self, name)
+            if not (isinstance(value, Real) and 0.0 < value < math.inf):
+                raise ValueError(
+                    f"{name} must be a positive finite number, got {value!r}"
+                )
 
     def resolved_window(self, n: int) -> tuple[int, int]:
         """The window of a run on n points; ValueError unless n is a domain

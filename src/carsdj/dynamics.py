@@ -33,7 +33,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import TWO_PI_C
-from .molecule import VibronicModel, checked_lines, checked_window, transition_wavenumber
+from .molecule import (
+    VibronicModel,
+    _is_level,
+    checked_lines,
+    checked_window,
+    transition_wavenumber,
+)
 from .pulses import PulseSpec, _unit_phase, spectral_amplitude, time_profile
 
 # Coarse time grid of ``time_domain_oracle``: trapezoidal step in fs and
@@ -114,8 +120,8 @@ def evolution_phase(
 
 
 def signal_magnitude(a: np.ndarray, v_target: int) -> float:
-    """|a_{v_target}|, the observable channel amplitude."""
-    if not (0 <= v_target < a.size):
+    """|a_{v_target}|, the observable channel amplitude, at an integer level."""
+    if not (_is_level(v_target) and 0 <= v_target < a.size):
         raise ValueError(
             f"target level {v_target} outside retained range [0, {a.size})"
         )

@@ -88,8 +88,8 @@ class VibronicModel:
     def nu(self) -> np.ndarray:
         """Read-only transition wavenumbers t_e + E_B(w) - E_X(v) in cm^-1.
 
-        Shape (n_b, n_x).  Validate levels with ``checked_window`` before
-        indexing: a negative level would wrap silently.
+        Shape (n_b, n_x).  Validate levels with ``check_retained`` first: a
+        negative, float or bool level would wrap, raise or read level 0 or 1.
         """
         e_b, e_x = self.b_states.energies, self.x_states.energies
         nu = self.t_e + e_b[:, None] - e_x[None, :]
@@ -252,10 +252,19 @@ def check_build(
             )
 
 
+def _is_level(v: object) -> bool:
+    """Whether ``v`` indexes a level: a Python or numpy integer, not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def check_retained(model: VibronicModel, tag: str, level: int) -> None:
-    """ValueError naming the key that keeps more levels unless nonnegative
-    ``level`` of curve ``tag``, "x" (lower) or "b" (upper), is retained."""
+    """ValueError unless ``level`` of curve ``tag``, "x" (lower) or "b" (upper),
+    is an integer level the model retains, naming the key that keeps more."""
     side, kept = ("lower", model.n_x) if tag == "x" else ("upper", model.n_b)
+    if not (_is_level(level) and level >= 0):
+        raise ValueError(
+            f"this run needs {side} level {level!r}, but levels are integers from 0"
+        )
     if level < kept:
         return
     why = f"the model retains only {kept} {side} levels"
@@ -275,25 +284,15 @@ def check_retained(model: VibronicModel, tag: str, level: int) -> None:
 def checked_window(
     model: VibronicModel, w_window: tuple[int, int], v_target: int | None = None
 ) -> np.ndarray:
-    """Upper levels of an inclusive window, ascending, after validation.
-
-    Raises ValueError unless the window is non-empty and nonnegative, and
-    ``check_retained`` accepts its top level and lower level ``v_target``.
-    """
+    """Upper levels of an inclusive window, ascending, after validation:
+    ValueError unless the window is non-empty and ``check_retained`` accepts
+    its top level, then its bottom level and lower level ``v_target``."""
     w_lo, w_hi = w_window
     if w_lo > w_hi:
         raise ValueError(f"empty window [{w_lo}, {w_hi}]")
-    if w_lo < 0:
-        raise ValueError(
-            f"window [{w_lo}, {w_hi}] outside retained upper levels [0, {model.n_b})"
-        )
     check_retained(model, "b", w_hi)
+    check_retained(model, "b", w_lo)
     if v_target is not None:
-        if v_target < 0:
-            raise ValueError(
-                f"target level {v_target} outside retained lower levels "
-                f"[0, {model.n_x})"
-            )
         check_retained(model, "x", v_target)
     return np.arange(w_lo, w_hi + 1)
 
@@ -335,21 +334,15 @@ def vibrational_period(model: VibronicModel, surface: str, level: int) -> float:
     """Classical period 1 / (c * local spacing) in fs at the given level.
 
     The local spacing is E(level+1) - E(level), so ``check_retained`` must
-    accept ``level + 1``.
+    accept ``level + 1``, then ``level``.
     """
-    if surface == "X":
-        states = model.x_states
-    elif surface == "B":
-        states = model.b_states
-    else:
+    if surface not in ("X", "B"):
         raise ValueError(f"surface must be 'X' or 'B', got {surface!r}")
-    if level < 0:
-        raise ValueError(
-            f"need level and level+1 retained on {surface}; "
-            f"got level {level} with {states.n_bound} states"
-        )
-    check_retained(model, surface.lower(), level + 1)
-    spacing = float(states.energies[level + 1] - states.energies[level])
+    tag = surface.lower()
+    check_retained(model, tag, level + 1)
+    check_retained(model, tag, level)
+    energies = (model.x_states if tag == "x" else model.b_states).energies
+    spacing = float(energies[level + 1] - energies[level])
     return 1.0 / (C_CM_PER_FS * spacing)
 
 

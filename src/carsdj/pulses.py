@@ -105,14 +105,13 @@ class PulseSpec:
     flat: bool = False
 
     def __post_init__(self) -> None:
-        if not (self.center > 0.0):
-            raise ValueError(f"center wavenumber must be positive, got {self.center}")
-        if not (self.duration_fwhm > 0.0):
-            raise ValueError(
-                f"duration must be positive, got {self.duration_fwhm}"
-            )
-        if not (self.amplitude > 0.0):
-            raise ValueError(f"amplitude must be positive, got {self.amplitude}")
+        for what, value in (
+            ("center wavenumber", self.center),
+            ("duration", self.duration_fwhm),
+            ("amplitude", self.amplitude),
+        ):
+            if not (0.0 < value < math.inf):
+                raise ValueError(f"{what} must be positive and finite, got {value}")
 
     @property
     def sigma_t(self) -> float:

@@ -41,16 +41,19 @@ from carsdj.dynamics import (
     apply_stokes,
     prepare_first_order,
     random_oracle_configs,
+    signal_magnitude,
     time_domain_oracle,
 )
 from carsdj.molecule import (
     IODINE_B,
     IODINE_X,
     build_model,
+    checked_window,
+    transition_wavenumber,
     vibrational_period,
     with_equalized_fc,
 )
-from carsdj.pulses import design_probe, design_pump, design_stokes
+from carsdj.pulses import PulseSpec, design_probe, design_pump, design_stokes
 
 _KERNEL_TAUS = (0.0, 0.5, 1.0, 1.5, 2.0)
 
@@ -579,6 +582,32 @@ def test_the_paper_claim_holds_as_orderings_and_signs(model):
     assert all(d[n, True, 2.0] < d[n, False, 2.0] for n in ns if n >= 8)
 
 
+@settings(derandomize=True, database=None, max_examples=16, deadline=None)
+@given(
+    st.tuples(st.floats(0.995, 1.005), st.floats(0.995, 1.005)),
+    st.tuples(*[st.floats(0.98, 1.02)] * 4),
+)
+def test_tailoring_beats_the_plain_window_across_models_while_the_signs_agree(
+    r_e, d_e_beta
+):
+    # r_e of both curves within 0.5 %, d_e and beta within 2 %: tailoring keeps
+    # each overlap's sign, so it lifts D at zero delay wherever the signs
+    # sigma_k agree over the window, and may not where one flips
+    x, b = (
+        replace(p, r_e=p.r_e * r, d_e=p.d_e * d, beta=p.beta * beta)
+        for p, r, d, beta in zip((IODINE_X, IODINE_B), r_e, d_e_beta[:2], d_e_beta[2:])
+    )
+    family = build_model(x, b)
+    for n, window in DEFAULT_WINDOWS.items():
+        sigma = _overlap_signs(family, window, 4)
+        if n >= 4 and (sigma == sigma[0]).all():
+            plain, tailored = (
+                distinguishability(all_outcomes(family, n, 0.0, RunOptions(tailored=t)))
+                for t in (False, True)
+            )
+            assert tailored > plain, (n, x, b)
+
+
 def test_signed_sums_are_one_read_only_table_per_n():
     for n in range(1, 17):
         s = Outcomes(n, 0.0, 0.0, np.zeros(2**n)).s_n
@@ -944,6 +973,21 @@ def test_run_options_refuse_levels_that_are_not_integers(field, value):
         RunOptions(**{field: value})
 
 
+@pytest.mark.parametrize("value", [0.0, -1.0, np.inf, np.nan])
+@pytest.mark.parametrize(
+    "field", ["pump_duration", "stokes_duration", "pump_amplitude", "stokes_amplitude"]
+)
+def test_run_options_name_a_pulse_number_that_is_not_positive_and_finite(
+    field, value
+):
+    # these once read "duration must be positive" or "amplitude must be
+    # positive" from a pulse, or leaked invalid-value warnings from the weights
+    message = f"{field} must be a positive finite number, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        RunOptions(**{field: value})
+    assert RunOptions(**{field: 1e-320}).resolved_pump_duration() > 0.0
+
+
 def test_numpy_integer_levels_run_as_their_python_values(model):
     numpy_levels = RunOptions(
         w_window=(np.int64(20), np.int32(23)), v_target=np.int64(4)
@@ -1011,6 +1055,69 @@ def test_every_entry_point_names_the_key_that_keeps_a_missing_level(
             assert not re.search(rf"\b{key}\b", message), message
 
 
+# Each library call that takes levels, on a window, its bottom level and a
+# lower level.  The oracle's pulses are unmasked and 5 fs long, so its
+# quadrature converges on every window; the coherence is the default window's.
+_LEVEL_CALLS = {
+    "checked_window": checked_window,
+    "transition_wavenumber": lambda m, w, v: transition_wavenumber(m, w[0], v),
+    "vibrational_period": lambda m, w, v: vibrational_period(m, "B", w[0]),
+    "design_pump": lambda m, w, v: design_pump(m, w, 30.0),
+    "design_stokes": lambda m, w, v: design_stokes(
+        m, v, w, (0,) * len(range(int(w[0]), int(w[1]) + 1)), 30.0
+    ),
+    "design_probe": lambda m, w, v: design_probe(m, w[0], v),
+    "prepare_first_order": lambda m, w, v: prepare_first_order(
+        m, design_pump(m, (20, 23), 30.0), w
+    ),
+    "with_equalized_fc": with_equalized_fc,
+    "time_domain_oracle": lambda m, w, v: time_domain_oracle(
+        m,
+        PulseSpec(transition_wavenumber(m, 20, 0), 5.0),
+        PulseSpec(transition_wavenumber(m, 20, 20), 5.0),
+        v,
+        w,
+    ),
+    "signal_magnitude": lambda m, w, v: signal_magnitude(
+        apply_stokes(
+            m,
+            prepare_first_order(m, design_pump(m, (20, 23), 30.0), (20, 23)),
+            design_stokes(m, 4, (20, 23), (0, 0, 0, 0), 30.0),
+        ),
+        v,
+    ),
+}
+_LEVELS = (
+    st.integers(-3, 45)
+    | st.integers(-3, 45).map(np.int64)
+    | st.sampled_from([22.0, 20.5, 4.0, -1.0, 45.5])
+    | st.booleans()
+)
+# A window of one level is no level fault: design_stokes refuses its mask.
+_WINDOWS = st.tuples(_LEVELS, _LEVELS).filter(lambda w: w[0] != w[1])
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    st.sampled_from(list(_LEVEL_CALLS)),
+    _WINDOWS.map(lambda w: tuple(sorted(w))) | _WINDOWS,
+    _LEVELS,
+)
+def test_a_level_that_is_not_a_retained_integer_is_named(model, call, window, v):
+    # float, bool and negative levels once ended in IndexError or TypeError,
+    # or ran on levels 0 and 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            _LEVEL_CALLS[call](model, window, v)
+        except ValueError as exc:
+            assert re.match(
+                r"^(empty window|target level|this run needs (upper|lower) level .+, but )",
+                str(exc),
+            ), str(exc)
+    assert not caught, [str(w.message) for w in caught]
+
+
 # Morse curves of the library fuzz beside the default: one binds only 31
 # upper levels, one spaces the lower levels wider, lowering their lines.
 _FUZZ_CURVES = (
@@ -1024,11 +1131,14 @@ def _fuzz_model(index):
     return build_model(*_FUZZ_CURVES[index])
 
 
+_PULSE_NUMBERS = ("pump_duration", "stokes_duration", "pump_amplitude", "stokes_amplitude")
+
+
 @st.composite
 def _library_inputs(draw):
     """(n, RunOptions keywords, delay multiples) of one library run: mostly
     integer windows of n levels, up to n = 20, some of them out of range or
-    of float or numpy levels."""
+    of float or numpy levels, and at times one pulse number 0, -1, inf or nan."""
     n = draw(st.sampled_from([2, 4, 6, 8]) | st.integers(1, 20))
     window = draw(
         st.none()
@@ -1050,6 +1160,9 @@ def _library_inputs(draw):
         "tailored": draw(st.booleans()),
         "flat_envelopes": draw(st.booleans()),
     }
+    spoiled = draw(st.none() | st.sampled_from(_PULSE_NUMBERS))
+    if spoiled is not None:
+        keywords[spoiled] = draw(st.sampled_from([0.0, -1.0, np.inf, np.nan]))
     delays = st.sampled_from([0.0, 1.0, 2.5, -1.0, 1e308, np.nan])
     return n, keywords, tuple(draw(st.lists(delays, min_size=1, max_size=3)))
 
@@ -1058,16 +1171,17 @@ def _library_inputs(draw):
 # checks, which name their field, n, b_t_e, the curve's keys or the durations
 # (a Stokes pulse so long that it reaches one line alone leaves a
 # fidelity_table cell every signal equal), then those a drawn run may meet
-# for other reasons; of these, the window and target refusals are left only
-# to negative levels.
+# for other reasons.  A level refusal names a negative level only if one was
+# drawn.
 _NAMED_REFUSAL = re.compile(
     r"^b_t_e = \S+ cm\^-1 (and (v_target = -?\d+|lower level 0) put the lowest line"
-    r"|swamps upper levels)|^(w_window|v_target) must be|^domain size n must"
+    r"|swamps upper levels)|^(w_window|v_target|(pump|stokes)_(duration|amplitude))"
+    r" must be|^domain size n must"
     r"|^stokes_duration = \S+ and pump_duration = \S+ fs leave every signal of n ="
-    r"|^this run needs (upper|lower) level \d+, but"
+    r"|^this run needs (upper|lower) level -?\d+, but"
 )
 _OTHER_REFUSAL = re.compile(
-    r"^(empty window|window \[|no default window|target level|delay multiple"
+    r"^(empty window|no default window|delay multiple"
     r"|pump_amplitude = |cannot equalise|constant-function signal vanished)"
 )
 
@@ -1112,11 +1226,17 @@ def test_any_library_run_gives_finite_signals_or_names_what_is_wrong(
             assert _NAMED_REFUSAL.search(message) or _OTHER_REFUSAL.search(message), (
                 message
             )
-            if re.match(r"^(window \[|target level)", message):
-                assert re.match(r"^(window \[|target level )-\d", message), message
             levels = (*(keywords["w_window"] or ()), keywords["v_target"])
+            negative = re.match(r"^this run needs \w+ level (-\d+), but", message)
+            if negative:
+                assert int(negative[1]) in levels, message
             if not all(isinstance(v, (int, np.integer)) for v in levels):
                 assert re.match("^(w_window|v_target) must be", message), message
+            elif not all(
+                keywords.get(key) is None or 0.0 < keywords[key] < np.inf
+                for key in _PULSE_NUMBERS
+            ):
+                assert re.match(r"^(pump|stokes)_(duration|amplitude) must", message)
             elif n > 16 and call != "fidelity_table":
                 assert message.startswith("domain size n must"), message
         else:

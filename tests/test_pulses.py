@@ -65,6 +65,21 @@ def test_pulse_validation():
         PulseSpec(center=100.0, duration_fwhm=30.0, amplitude=0.0)
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize(
+    ("field", "named"),
+    [("center", "center"), ("duration_fwhm", "duration"), ("amplitude", "amplitude")],
+)
+def test_a_non_finite_pulse_number_is_refused(model, field, value, named):
+    # an infinite probe duration once gave a nan spectrum and a warning, an
+    # infinite center a spectrum of 0 everywhere, an infinite amplitude inf
+    with pytest.raises(ValueError, match=f"^{named}"):
+        replace(design_probe(model, PERIOD_LEVEL, 4), **{field: value})
+    if field == "duration_fwhm":
+        with pytest.raises(ValueError, match="^duration"):
+            design_probe(model, PERIOD_LEVEL, 4, value)
+
+
 def test_bandwidth_is_the_transform_limit():
     p50 = PulseSpec(center=18000.0, duration_fwhm=50.0)
     p30 = PulseSpec(center=18000.0, duration_fwhm=30.0)
