@@ -26,6 +26,8 @@ sums run sequentially in window order, as the second-order transfer
 does, and a +/-1 sign flips a term exactly, so every signal is
 bit-identical to ``run_instance``, which composes the full pipeline for
 one function and is the oracle the tests check the kernel against.
+Only the functions with f(n - 1) = 0 are summed: a complement gives the
+same signal, bit for bit, so the other half is mirrored.
 """
 
 from __future__ import annotations
@@ -53,6 +55,9 @@ from .pulses import PulseSpec, design_pump, design_stokes
 PERIOD_LEVEL = 22
 
 _MAX_ENUMERATION_N = 16
+
+# Smallest normal float: a weight below it carries a few bits at most.
+_TINY = np.finfo(float).tiny
 
 # Standard window of every even domain size: n levels centred on
 # PERIOD_LEVEL, which sits at offset n // 2.
@@ -430,17 +435,17 @@ def channel_weights(
         tau_fs = multiples * legs.tau_b
         # The equalisation leaves the transition wavenumbers alone.
         phase = evolution_phase(model, legs.ws, tau_fs[:, None])
+        # Envelopes, overlaps and phases are at most 1 in size, so only a
+        # phase that is not finite or the amplitudes can push a weight, or a
+        # signal, past the float range: a nan phase makes its weights nan.
+        z = legs.stokes_leg * (legs.c * phase)
+        magnitudes = np.abs(z)
+        bounded = np.isfinite(magnitudes.sum(axis=1)).all()
+    if not bounded:
         finite = np.isfinite(phase).all(axis=1)
         if not finite.all():
             bad = multiples[~finite][0]
             raise ValueError(f"delay multiple {bad:g} gives no finite delay phase")
-        pump_leg = legs.c * phase
-        # Envelopes, overlaps and phases are at most 1 in size, so only the
-        # amplitudes can push a weight, or a signal, past the float range.
-        z = legs.stokes_leg * pump_leg
-        magnitudes = np.abs(z)
-        bounded = np.isfinite(magnitudes.sum(axis=1)).all()
-    if not bounded:
         raise ValueError(
             f"pump_amplitude = {options.pump_amplitude:g} and stokes_amplitude = "
             f"{options.stokes_amplitude:g} overflow the channel weights"
@@ -448,7 +453,7 @@ def channel_weights(
     # Subnormal weights carry a few bits, and zero ones no signal at all:
     # small amplitudes, or pulses so long that their spectra miss the
     # window, do that.
-    if z.size and magnitudes.max() < np.finfo(float).tiny:
+    if z.size and magnitudes.max() < _TINY:
         raise ValueError(
             f"pump_amplitude = {options.pump_amplitude:g}, stokes_amplitude = "
             f"{options.stokes_amplitude:g}, pump_duration = "
@@ -459,24 +464,39 @@ def channel_weights(
     return tau_fs, z
 
 
-def _enumerated_sums(z: np.ndarray) -> np.ndarray:
-    """sum_k (-1)^f(k) z[t, k] of every function f, shape (T, 2^n).
+def _half_sums(z: np.ndarray) -> np.ndarray:
+    """sum_k (-1)^f(k) z[t, k] of the functions f with f(n - 1) = 0, that is
+    functions 0 .. 2^(n-1) - 1, shape (T, 2^(n-1)).
 
     Prefix doubling: after step k the first 2^(k+1) columns hold the
     sums over bits 0..k: one broadcast add of (+z_k, -z_k) to the first
     2^k turns column i into column i + z_k and makes column i + 2^k
-    column i - z_k.  Every sum is still ((0 +- z_0) +- z_1) +- ..., term
-    by term in window order as ``apply_stokes`` sums, because a + (-b)
-    equals a - b in IEEE arithmetic; a matrix product or a Gray-code walk
-    would reorder or reuse sums and move the last digits.
+    column i - z_k.  The last point only adds +z_(n-1).  Every sum is
+    still ((0 +- z_0) +- z_1) +- ..., term by term in window order as
+    ``apply_stokes`` sums, because a + (-b) equals a - b in IEEE
+    arithmetic; a matrix product or a Gray-code walk would reorder or
+    reuse sums and move the last digits.
     """
     t, n = z.shape
-    pm = z.T[:, :, None, None]
+    pm = z.T[:-1, :, None, None]
     pm = np.concatenate([pm, -pm], axis=2)
     acc = np.zeros((t, 1, 1), dtype=complex)
-    for k in range(n):
+    for k in range(n - 1):
         acc = (acc + pm[k]).reshape(t, 1, -1)
-    return acc.reshape(t, -1)
+    return acc.reshape(t, -1) + z[:, -1:]
+
+
+def _enumerated_signals(z: np.ndarray) -> np.ndarray:
+    """|sum_k (-1)^f(k) z[t, k]| of every function f, shape (T, 2^n).
+
+    The complement of function i is function 2^n - 1 - i, and its sum
+    takes the negated term at every step.  Round-to-nearest is symmetric
+    in sign, so each of its partial sums is the exact negation of that of
+    f, up to the sign of a zero, and its signal has the same bits: the
+    second half is the first, mirrored.
+    """
+    half = np.abs(_half_sums(z))
+    return np.concatenate([half, half[:, ::-1]], axis=1)
 
 
 def all_outcomes(
@@ -491,7 +511,7 @@ def all_outcomes(
     ``run_instance`` for the same function, bit for bit.
     """
     tau_fs, z = channel_weights(model, n, (tau_multiple,), options)
-    signals = np.abs(_enumerated_sums(z)[0])
+    signals = _enumerated_signals(z)[0]
     signals.flags.writeable = False
     return Outcomes(n, float(tau_fs[0]), tau_multiple, signals)
 
@@ -525,11 +545,12 @@ def distinguishability(outcomes: Outcomes) -> float:
     balanced = signals[_selection(outcomes.n).balanced]
     if balanced.size == 0:
         raise ValueError("need at least one balanced-function outcome")
-    first, last = signals[0], signals[-1]
-    reference = np.maximum(first, last)
+    first, last = float(signals[0]), float(signals[-1])
+    # max keeps a nan only as its first argument; np.maximum keeps either.
+    reference = last if last != last else max(first, last)
     if reference <= 0.0:
         raise ValueError("constant-function signal vanished; D undefined")
-    if np.minimum(first, last) < reference * (1.0 - 1e-9):
+    if min(first, last) < reference * (1.0 - 1e-9):
         raise ValueError(
             "the two constant-function signals disagree beyond rounding; "
             "the outcome set is inconsistent"
@@ -555,13 +576,15 @@ def pearson_r(outcomes: Outcomes) -> float:
     # would under- or overflow in the products.
     x = np.empty((2, signals.size))
     np.divide(signals, top, out=x[0])
-    x[0] -= x[0].mean()
+    # ndarray.mean's arithmetic, without its call.
+    x[0] -= np.add.reduce(x[0]) / signals.size
     x[1] = selection.centred_ideal
     # x with its own transpose reaches the BLAS routine np.cov reaches; a
     # copy would take another one and move the last bits.
     c = np.dot(x, x.T)
-    c *= np.true_divide(1, signals.size - 1)
-    r = float(c[0, 1] / np.sqrt(c[0, 0]) / np.sqrt(c[1, 1]))
+    c *= 1 / (signals.size - 1)
+    # Both are correctly rounded, as are np.true_divide and np.sqrt.
+    r = float(c[0, 1] / math.sqrt(c[0, 0]) / math.sqrt(c[1, 1]))
     # min/max keep a nan, as np.clip does.
     return min(max(r, -1.0), 1.0)
 

@@ -169,38 +169,57 @@ def time_domain_oracle(
         If halving the time step while widening the window moves the
         result by more than 1e-7 relative (quadrature not converged;
         hard-edged masks with long 1/t field tails trigger this at any
-        practical window).
+        practical window).  When the move is within 1e-7 of the bound
+        sum_w |fc[w, v_target] fc[w, 0]| ||E_P||_1 ||E_S||_1 on the
+        amplitude, the pulses barely reach the window, and the message
+        says so with the amplitude and the bound.
     """
     ws = checked_window(model, w_window, v_target)
     nu_w0 = model.nu[ws, 0]
     nu_wv = model.nu[ws, v_target]
+    fc_prod = model.fc[ws, v_target] * model.fc[ws, 0]
+
+    def grid(pulse: PulseSpec, step: float, sigmas: float) -> tuple[np.ndarray, ...]:
+        """A uniform time grid ``sigmas`` field widths about the pulse, and
+        the field on it."""
+        half = sigmas * pulse.sigma_t
+        n_pts = max(int(np.ceil(2.0 * half / step)) + 1, 9)
+        t = pulse.delay + np.linspace(-half, half, n_pts)
+        return t, time_profile(pulse, t)
 
     def amplitude(step: float, sigmas: float) -> complex:
         # Pump integral I_P(w) = int E_P(t) exp(+i 2 pi c nu(w,0) t) dt
-        half = sigmas * pump.sigma_t
-        n_pts = max(int(np.ceil(2.0 * half / step)) + 1, 9)
-        t_p = pump.delay + np.linspace(-half, half, n_pts)
-        field_p = time_profile(pump, t_p)
+        t_p, field_p = grid(pump, step, sigmas)
         phase_p = _unit_phase(TWO_PI_C * np.outer(nu_w0, t_p))
         i_pump = np.trapezoid(phase_p * field_p[None, :], t_p, axis=1)
         # Stokes integral conj(I_S(w)) = int conj(E_S(t)) exp(-i ...) dt
-        half_s = sigmas * stokes.sigma_t
-        n_pts_s = max(int(np.ceil(2.0 * half_s / step)) + 1, 9)
-        t_s = stokes.delay + np.linspace(-half_s, half_s, n_pts_s)
-        field_s = np.conj(time_profile(stokes, t_s))
+        t_s, field_s = grid(stokes, step, sigmas)
         phase_s = _unit_phase(-TWO_PI_C * np.outer(nu_wv, t_s))
-        i_stokes = np.trapezoid(phase_s * field_s[None, :], t_s, axis=1)
-        fc_prod = model.fc[ws, v_target] * model.fc[ws, 0]
+        i_stokes = np.trapezoid(phase_s * np.conj(field_s)[None, :], t_s, axis=1)
         return complex(-np.sum(fc_prod * i_stokes * i_pump))
 
+    fine_grid = (_ORACLE_STEP_FS / 2.0, 1.5 * _ORACLE_WINDOW_SIGMAS)
     coarse = amplitude(_ORACLE_STEP_FS, _ORACLE_WINDOW_SIGMAS)
-    fine = amplitude(_ORACLE_STEP_FS / 2.0, 1.5 * _ORACLE_WINDOW_SIGMAS)
+    fine = amplitude(*fine_grid)
     scale = max(abs(fine), 1e-300)
-    if abs(fine - coarse) / scale > 1e-7:
-        raise RuntimeError(
+    moved = abs(fine - coarse)
+    if moved / scale > 1e-7:
+        message = (
             "time-domain quadrature did not converge: refining the grid "
-            f"moved the amplitude by {abs(fine - coarse) / scale:.3e} relative"
+            f"moved the amplitude by {moved / scale:.3e} relative"
         )
+        # |I_P(w)| and |I_S(w)| are at most the fields' L1 norms.  Converged
+        # next to that bound, the amplitude is tiny, not the grid too coarse.
+        bound = np.abs(fc_prod).sum()
+        for pulse in (pump, stokes):
+            t, field = grid(pulse, *fine_grid)
+            bound *= np.trapezoid(np.abs(field), t)
+        if moved <= 1e-7 * bound:
+            message += (
+                f"; the pulses barely reach the window: amplitude {abs(fine):.3e} "
+                f"against the bound {bound:.3e} of sum |fc| ||E_P||_1 ||E_S||_1"
+            )
+        raise RuntimeError(message)
     return abs(fine)
 
 

@@ -285,9 +285,14 @@ def checked_window(
     model: VibronicModel, w_window: tuple[int, int], v_target: int | None = None
 ) -> np.ndarray:
     """Upper levels of an inclusive window, ascending, after validation:
-    ValueError unless the window is non-empty and ``check_retained`` accepts
-    its top level, then its bottom level and lower level ``v_target``."""
+    ValueError unless both ends are integer levels, the window is non-empty
+    and ``check_retained`` accepts its top level, then its bottom level and
+    lower level ``v_target``."""
     w_lo, w_hi = w_window
+    # An end that is no level has no order; check_retained names it.
+    for level in (w_hi, w_lo):
+        if not _is_level(level):
+            check_retained(model, "b", level)
     if w_lo > w_hi:
         raise ValueError(f"empty window [{w_lo}, {w_hi}]")
     check_retained(model, "b", w_hi)

@@ -23,7 +23,8 @@ from carsdj.algorithm import (
     FidelityMetrics,
     Outcomes,
     RunOptions,
-    _enumerated_sums,
+    _enumerated_signals,
+    _half_sums,
     all_outcomes,
     channel_weights,
     design_pulses,
@@ -217,6 +218,11 @@ def test_distinguishability_bookkeeping():
         distinguishability(_outcomes([1.0, 0.2, 0.2, 0.5]))
     with pytest.raises(ValueError, match="vanished"):
         distinguishability(_outcomes([0.0, 0.0, 0.0, 0.0]))
+    # a nan constant signal, on either side, gives a nan D, as it did when
+    # the pair was compared as numpy scalars
+    for signals in ([np.nan, 0.25, 0.125, 1.0], [1.0, 0.25, 0.125, np.nan]):
+        assert np.isnan(distinguishability(_outcomes(signals)))
+        assert np.isnan(_reference_distinguishability(_outcomes(signals)))
 
 
 def test_correlation_requires_a_spread():
@@ -343,6 +349,25 @@ def test_kernel_equals_run_instance_on_wide_windows(model, n, window, tau):
     assert outs.signals.shape == (2**n,)
     for f, signal in zip(enumerate_functions(n), outs.signals):
         assert signal == run_instance(model, f, tau, options)
+
+
+@pytest.mark.parametrize("n", [14, 16])
+@pytest.mark.parametrize(
+    "options",
+    [RunOptions(), RunOptions(tailored=True), RunOptions(flat_envelopes=True)],
+    ids=["plain", "tailored", "flat"],
+)
+def test_kernel_equals_run_instance_on_sampled_functions_at_14_and_16(
+    model, n, options
+):
+    # the mirrored half of the enumeration saves most here
+    rng = np.random.default_rng(n)
+    indices = [0, 2**n - 1, *rng.integers(0, 2**n, 300).tolist()]
+    for tau in (0.0, 1.0, 1.7):
+        signals = all_outcomes(model, n, tau, options).signals
+        for i in indices:
+            f = BooleanFunction(tuple((i >> k) & 1 for k in range(n)))
+            assert signals[i] == run_instance(model, f, tau, options)
 
 
 def test_sweep_equals_run_instance_exactly(model):
@@ -479,8 +504,11 @@ def _weights(draw):
 def test_doubling_kernel_equals_the_loop_bit_for_bit(z):
     # ±0.0, subnormals and weights near 1e300 included
     n = z.shape[1]
-    sums = _enumerated_sums(z)
-    assert sums.tobytes() == _signal_sums(z, _bit_matrix(n)).tobytes()
+    reference = _signal_sums(z, _bit_matrix(n))
+    # the half with f(n - 1) = 0 is summed, the other half mirrored
+    half = _half_sums(z)
+    assert half.tobytes() == reference[:, : 2 ** (n - 1)].tobytes()
+    assert _enumerated_signals(z).tobytes() == np.abs(reference).tobytes()
 
 
 @st.composite
@@ -645,6 +673,24 @@ def test_a_non_finite_delay_is_named(model, tau):
         all_outcomes(model, 4, tau)
     with pytest.raises(ValueError, match=message):
         sweep_delay(model, BooleanFunction((0, 1, 1, 0)), np.array([0.0, tau]))
+
+
+@pytest.mark.parametrize("tau", [np.nan, np.inf, 1e308])
+def test_a_non_finite_delay_is_named_before_overflowing_amplitudes(model, tau):
+    # one finiteness test of the weights finds both; the delay comes first
+    overflow = RunOptions(pump_amplitude=1e300, stokes_amplitude=1e300)
+    message = re.escape(f"delay multiple {tau:g} gives no finite delay")
+    with pytest.raises(ValueError, match=message):
+        all_outcomes(model, 4, tau, overflow)
+    multiples = np.linspace(0.0, 2.5, 501)
+    multiples[250] = tau
+    with pytest.raises(ValueError, match=message):
+        sweep_delay(model, BooleanFunction((0, 1, 1, 0)), multiples, overflow)
+    with pytest.raises(ValueError, match="pump_amplitude = 1e\\+300 and stokes_amp"):
+        sweep_delay(model, BooleanFunction((0, 1, 1, 0)), multiples[:250], overflow)
+    tiny = RunOptions(pump_amplitude=1e-160, stokes_amplitude=1e-160)
+    with pytest.raises(ValueError, match="stokes_duration = 30 fs leave every"):
+        sweep_delay(model, BooleanFunction((0, 1, 1, 0)), multiples[:250], tiny)
 
 
 def _run_bytes(get_model, n, taus, options):

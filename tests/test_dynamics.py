@@ -1,6 +1,7 @@
 """Coherence transfer: closed-form checks, the time-domain cross-check, readout."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -204,8 +205,29 @@ def test_time_quadrature_refuses_a_hard_edged_mask(model):
     # the mask's 1/t field tails outrun any practical time window
     pump = design_pump(model, WINDOW, duration_fwhm=30.0)
     stokes = design_stokes(model, 4, WINDOW, (0, 1, 1, 0), 30.0)
-    with pytest.raises(RuntimeError, match="quadrature did not converge"):
+    with pytest.raises(RuntimeError, match="quadrature did not converge") as err:
         time_domain_oracle(model, pump, stokes, 4, WINDOW)
+    assert "barely reach" not in str(err.value)
+
+
+@pytest.mark.parametrize("v_target", [0, 4])
+def test_time_quadrature_says_when_the_pulses_barely_reach_the_window(
+    model, v_target
+):
+    # the grid moves the amplitude (9.5e-25, 2.6e-30) by 5e-4 and 8e-4 of
+    # itself, but by less than 1e-20 of what the pulses could give
+    pump = design_pump(model, WINDOW, duration_fwhm=30.0)
+    stokes = PulseSpec(transition_wavenumber(model, 22, 4), 30.0)
+    with pytest.raises(RuntimeError, match="quadrature did not converge") as err:
+        time_domain_oracle(model, pump, stokes, v_target, (0, 1))
+    found = re.search(
+        r"; the pulses barely reach the window: amplitude (\S+) against the "
+        r"bound (\S+) of sum \|fc\| \|\|E_P\|\|_1 \|\|E_S\|\|_1$",
+        str(err.value),
+    )
+    assert found, str(err.value)
+    amplitude, bound = map(float, found.groups())
+    assert 0.0 < amplitude < 1e-15 * bound
 
 
 def test_emission_lines_sit_at_the_upper_to_ground_transitions(model):

@@ -135,6 +135,19 @@ def test_window_scores_peak_at_the_central_level(model):
         checked_window(model, (20, 23), 60)
 
 
+@pytest.mark.parametrize("window", [(None, 3), (3, None), (20, "23"), (22.5, 20)])
+def test_a_window_end_that_is_no_level_is_named_before_the_order(model, window):
+    # (None, 3) once ended in TypeError at the empty-window comparison
+    bad = next(end for end in reversed(window) if not isinstance(end, int))
+    message = f"this run needs upper level {bad!r}, but levels are integers from 0"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        checked_window(model, window)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        with_equalized_fc(model, window, 4)
+    with pytest.raises(ValueError, match=r"^empty window \[45, 20\]$"):
+        checked_window(model, (45, 20))
+
+
 def test_a_model_built_by_hand_names_only_the_levels(harmonic_model):
     # no build request was recorded, so no key can be blamed
     message = (
