@@ -547,7 +547,7 @@ def distinguishability(outcomes: Outcomes) -> float:
         raise ValueError("need at least one balanced-function outcome")
     first, last = float(signals[0]), float(signals[-1])
     # max keeps a nan only as its first argument; np.maximum keeps either.
-    reference = last if last != last else max(first, last)
+    reference = last if math.isnan(last) else max(first, last)
     if reference <= 0.0:
         raise ValueError("constant-function signal vanished; D undefined")
     if min(first, last) < reference * (1.0 - 1e-9):
@@ -582,8 +582,9 @@ def pearson_r(outcomes: Outcomes) -> float:
     # x with its own transpose reaches the BLAS routine np.cov reaches; a
     # copy would take another one and move the last bits.
     c = np.dot(x, x.T)
+    # Python's / and math.sqrt round correctly, as np.true_divide and
+    # np.sqrt do, so the bits stay those of corrcoef.
     c *= 1 / (signals.size - 1)
-    # Both are correctly rounded, as are np.true_divide and np.sqrt.
     r = float(c[0, 1] / math.sqrt(c[0, 0]) / math.sqrt(c[1, 1]))
     # min/max keep a nan, as np.clip does.
     return min(max(r, -1.0), 1.0)

@@ -397,10 +397,16 @@ def test_kernel_equals_the_loop_reference_on_model_weights(model, n, options):
 
 
 def test_sixteen_point_enumeration_is_complement_symmetric(model):
-    signals = all_outcomes(model, 16, 1.0, RunOptions(w_window=(14, 29))).signals
+    options = RunOptions(w_window=(14, 29))
+    signals = all_outcomes(model, 16, 1.0, options).signals
     assert signals.size == 2**16
-    # index of the complement of f is 2^16 - 1 - index(f)
-    assert np.array_equal(signals, signals[::-1])
+    # the kernel mirrors by construction, so the symmetry is checked on the
+    # term-by-term loop, which sums every function: index of the complement
+    # of f is 2^16 - 1 - index(f)
+    _, z = channel_weights(model, 16, (1.0,), options)
+    looped = np.abs(_signal_sums(z, _bit_matrix(16)))[0]
+    assert looped.tobytes() == looped[::-1].tobytes()
+    assert signals.tobytes() == looped.tobytes()
 
 
 def test_channel_weights_shape_and_delays(model):
