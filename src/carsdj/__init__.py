@@ -21,10 +21,8 @@ from .algorithm import (
     all_outcomes,
     channel_weights,
     distinguishability,
-    enumerate_functions,
     fidelity_table,
     pearson_r,
-    run_instance,
     s_n,
     sweep_delay,
 )
@@ -32,7 +30,6 @@ from .dvr import EigenSolution, Grid, build_hamiltonian, kinetic_matrix, solve_b
 from .dynamics import (
     FirstOrderCoherence,
     apply_stokes,
-    cars_spectrum,
     prepare_first_order,
     signal_magnitude,
     time_domain_oracle,
@@ -93,13 +90,11 @@ __all__ = [
     "bound_state_count",
     "build_hamiltonian",
     "build_model",
-    "cars_spectrum",
     "channel_weights",
     "design_probe",
     "design_pump",
     "design_stokes",
     "distinguishability",
-    "enumerate_functions",
     "fidelity_table",
     "harmonic_wavenumber",
     "kinetic_matrix",
@@ -107,7 +102,6 @@ __all__ = [
     "morse_potential",
     "pearson_r",
     "prepare_first_order",
-    "run_instance",
     "s_n",
     "signal_magnitude",
     "solve_bound_states",

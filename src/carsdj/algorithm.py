@@ -21,13 +21,16 @@ second-order sum by (-1)^f(k):
 with A_S0 the unmasked Stokes spectrum.  The weights z_k do not depend
 on f, so ``channel_weights`` designs the pulses once per (model, n,
 options), keeping every factor but the delay phase, and
-``all_outcomes``/``sweep_delay`` only form signed sums.  The
-sums run sequentially in window order, as the second-order transfer
-does, and a +/-1 sign flips a term exactly, so every signal is
-bit-identical to ``run_instance``, which composes the full pipeline for
-one function and is the oracle the tests check the kernel against.
-Only the functions with f(n - 1) = 0 are summed: a complement gives the
-same signal, bit for bit, so the other half is mirrored.
+``all_outcomes``/``sweep_delay`` only form signed sums.  The Stokes
+factor fc conj(A_S0) is the column v_t of ``dynamics.stokes_legs``,
+the very legs ``apply_stokes`` sums over.  The sums run sequentially in
+window order, as the second-order transfer does, and a +/-1 sign flips
+a term exactly, so every signal is bit-identical to ``run_instance``,
+which composes the full pipeline for one function and is the oracle the
+tests check the kernel against.  Only the functions with f(n - 1) = 0
+are summed: a complement gives the same signal, bit for bit, so the
+other half is mirrored.  ``run_instance`` and ``enumerate_functions``
+are not exported at the package root.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .dynamics import (
     evolution_phase,
     prepare_first_order,
     signal_magnitude,
-    stokes_emission,
+    stokes_legs,
 )
 from .molecule import VibronicModel, _is_level, vibrational_period, with_equalized_fc
 from .pulses import PulseSpec, design_pump, design_stokes
@@ -122,7 +125,7 @@ def s_n(f: BooleanFunction) -> int:
 
 def enumerate_functions(n: int) -> list[BooleanFunction]:
     """All 2^n Boolean functions on n points, ascending by index; a test
-    oracle, kept in the package only because the benchmark trace names it."""
+    oracle, kept here unexported only because the benchmark trace names it."""
     if not (1 <= n <= _MAX_ENUMERATION_N):
         raise ValueError(
             f"domain size must be in [1, {_MAX_ENUMERATION_N}], got {n}"
@@ -314,8 +317,8 @@ def run_instance(
     """Signal of one Boolean function at a delay of ``tau_multiple`` periods,
     from the full pipeline: pump and first order over the window, the
     function's Stokes mask at the delay, the transfer and the readout.  The
-    tests' oracle for the kernel, kept here only because the benchmark
-    trace names it."""
+    tests' oracle for the kernel, kept here unexported only because the
+    benchmark trace names it."""
     model, window = prepare_model(model, options, f.n)
     tau = tau_multiple * vibrational_period(model, "B", PERIOD_LEVEL)
     pump, stokes = design_pulses(model, window, f.bits, options, delay=tau)
@@ -387,10 +390,7 @@ def _legs(model: VibronicModel, n: int, options: RunOptions) -> _Legs:
         pump, stokes = design_pulses(run_model, window, (0,) * n, options)
         first = prepare_first_order(run_model, pump, window)
         ws = first.w_levels
-        v_t = options.v_target
-        # Same factors, multiplied in the same order, as the sum in apply_stokes.
-        emission = stokes_emission(run_model, ws, stokes)[:, v_t]
-        stokes_leg = run_model.fc[ws, v_t] * emission
+        stokes_leg = stokes_legs(run_model, ws, stokes)[:, options.v_target]
         legs = _Legs(tau_b, ws, stokes_leg, first.c)
         for array in (ws, stokes_leg, first.c):
             array.flags.writeable = False

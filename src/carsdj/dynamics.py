@@ -80,31 +80,30 @@ def apply_stokes(
 ) -> np.ndarray:
     """Transfer the upper-state coherence down to every retained lower level.
 
-    Returns shape (n_x,): a[v] is the complex amplitude of lower level v
-    against the frozen ground-state bra.  The Stokes spectrum is evaluated
-    in the pulse's own frame; its arrival time ``stokes.delay`` enters
-    through the explicit upper-state evolution phase (see the module
-    docstring).
+    Returns shape (n_x,): a[v] = sum_w L[w, v] c_w exp(-i 2 pi c nu(w, 0)
+    tau), the complex amplitude of lower level v against the frozen
+    ground-state bra, with L the Stokes legs of ``stokes_legs``.  The
+    arrival time tau = ``stokes.delay`` enters only through the explicit
+    upper-state evolution phase (see the module docstring).
     """
     ws = first.w_levels
-    emission = stokes_emission(model, ws, stokes)
     weights = first.c * evolution_phase(model, ws, stokes.delay)
-    return np.einsum("wv,wv,w->v", model.fc[ws, :], emission, weights)
+    return np.einsum("wv,w->v", stokes_legs(model, ws, stokes), weights)
 
 
-def stokes_emission(
+def stokes_legs(
     model: VibronicModel, ws: np.ndarray, stokes: PulseSpec
 ) -> np.ndarray:
-    """conj(A_S0(nu(w, v))) over (upper levels ``ws``, every retained v).
+    """fc[w, v] conj(A_S0(nu(w, v))) over (upper levels ``ws``, every
+    retained v).
 
     The spectrum is taken in the pulse's own frame: ``stokes.delay`` is
     stripped, since the delay enters through ``evolution_phase``.
     """
     stokes_local = replace(stokes, delay=0.0)
     nu_wv = model.nu[ws]
-    return np.conj(spectral_amplitude(stokes_local, nu_wv.ravel())).reshape(
-        nu_wv.shape
-    )
+    emission = np.conj(spectral_amplitude(stokes_local, nu_wv.ravel()))
+    return model.fc[ws, :] * emission.reshape(nu_wv.shape)
 
 
 def evolution_phase(
@@ -128,24 +127,6 @@ def signal_magnitude(a: np.ndarray, v_target: int) -> float:
     return float(np.abs(a[v_target]))
 
 
-def cars_spectrum(
-    model: VibronicModel, a: np.ndarray, probe: PulseSpec
-) -> np.ndarray:
-    """Third-order anti-Stokes line amplitudes after the probe.
-
-    b_w = sum_v fc[w, v] A_Pr(nu(w, v)) a_v for every retained upper
-    level; returns shape (n_b,), the amplitude b_w * fc[w, 0] of the line
-    radiated at nu(w, 0).
-    """
-    if a.size != model.n_x:
-        raise ValueError(
-            f"coherence has {a.size} lower levels, model retains {model.n_x}"
-        )
-    probe_amps = spectral_amplitude(probe, model.nu.ravel()).reshape(model.nu.shape)
-    b = (model.fc * probe_amps) @ a
-    return b * model.fc[:, 0]
-
-
 def time_domain_oracle(
     model: VibronicModel,
     pump: PulseSpec,
@@ -157,9 +138,11 @@ def time_domain_oracle(
 
     Both time orderings of the pump and Stokes interactions are included,
     so the double integral factorises into the product of two single
-    integrals, each evaluated here with the trapezoidal rule on a uniform
-    grid (a 0.25 fs step, halved once as a convergence check).  This is the
-    independent cross-check of the frequency-domain product form.
+    integrals, the pump's at nu(w, 0) and the conjugated Stokes pulse's at
+    nu(w, v_target), both taken by one trapezoidal Fourier transform on a
+    uniform grid (a 0.25 fs step, halved once as a convergence check).
+    This is the independent cross-check of the frequency-domain product
+    form.
 
     Raises
     ------
@@ -175,8 +158,6 @@ def time_domain_oracle(
         says so with the amplitude and the bound.
     """
     ws = checked_window(model, w_window, v_target)
-    nu_w0 = model.nu[ws, 0]
-    nu_wv = model.nu[ws, v_target]
     fc_prod = model.fc[ws, v_target] * model.fc[ws, 0]
 
     def grid(pulse: PulseSpec, step: float, sigmas: float) -> tuple[np.ndarray, ...]:
@@ -187,15 +168,17 @@ def time_domain_oracle(
         t = pulse.delay + np.linspace(-half, half, n_pts)
         return t, time_profile(pulse, t)
 
+    def transform(
+        pulse: PulseSpec, nu: np.ndarray, step: float, sigmas: float
+    ) -> np.ndarray:
+        """I(w) = int E(t) exp(+i 2 pi c nu(w) t) dt by the trapezoidal rule."""
+        t, field = grid(pulse, step, sigmas)
+        phase = _unit_phase(TWO_PI_C * np.outer(nu, t))
+        return np.trapezoid(phase * field[None, :], t, axis=1)
+
     def amplitude(step: float, sigmas: float) -> complex:
-        # Pump integral I_P(w) = int E_P(t) exp(+i 2 pi c nu(w,0) t) dt
-        t_p, field_p = grid(pump, step, sigmas)
-        phase_p = _unit_phase(TWO_PI_C * np.outer(nu_w0, t_p))
-        i_pump = np.trapezoid(phase_p * field_p[None, :], t_p, axis=1)
-        # Stokes integral conj(I_S(w)) = int conj(E_S(t)) exp(-i ...) dt
-        t_s, field_s = grid(stokes, step, sigmas)
-        phase_s = _unit_phase(-TWO_PI_C * np.outer(nu_wv, t_s))
-        i_stokes = np.trapezoid(phase_s * np.conj(field_s)[None, :], t_s, axis=1)
+        i_pump = transform(pump, model.nu[ws, 0], step, sigmas)
+        i_stokes = np.conj(transform(stokes, model.nu[ws, v_target], step, sigmas))
         return complex(-np.sum(fc_prod * i_stokes * i_pump))
 
     fine_grid = (_ORACLE_STEP_FS / 2.0, 1.5 * _ORACLE_WINDOW_SIGMAS)

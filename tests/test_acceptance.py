@@ -25,7 +25,6 @@ from carsdj.algorithm import (
 from carsdj.constants import HBARSQ_CM1_AMU_ANG2
 from carsdj.dynamics import (
     apply_stokes,
-    cars_spectrum,
     prepare_first_order,
     random_oracle_configs,
     signal_magnitude,
@@ -42,6 +41,7 @@ from carsdj.molecule import (
 )
 from carsdj.morse import harmonic_wavenumber, morse_analytic_levels
 from carsdj.pulses import design_probe, design_pump, design_stokes
+from references import cars_spectrum
 
 
 def _report(num: int, description: str, ok: bool, detail: str = "") -> None:

@@ -633,13 +633,24 @@ def test_tailoring_beats_the_plain_window_across_models_while_the_signs_agree(
     )
     family = build_model(x, b)
     for n, window in DEFAULT_WINDOWS.items():
+        if n < 4:
+            continue
         sigma = _overlap_signs(family, window, 4)
-        if n >= 4 and (sigma == sigma[0]).all():
-            plain, tailored = (
-                distinguishability(all_outcomes(family, n, 0.0, RunOptions(tailored=t)))
-                for t in (False, True)
-            )
-            assert tailored > plain, (n, x, b)
+        plain, tailored = (
+            all_outcomes(family, n, 0.0, RunOptions(tailored=t)) for t in (False, True)
+        )
+        d_plain = distinguishability(plain)
+        if (sigma == sigma[0]).all():
+            assert distinguishability(tailored) > d_plain, (n, x, b)
+        # sigma is the cause: multiplying the mask by sigma, that is
+        # relabelling signal i as signal i XOR m_sigma, restores the lift
+        # on every window
+        m_sigma = sum(1 << k for k, s in enumerate(sigma) if s < 0)
+        relabelled = tailored.signals[np.arange(2**n) ^ m_sigma]
+        d_relabelled = distinguishability(
+            Outcomes(n, tailored.tau_fs, tailored.tau_multiple, relabelled)
+        )
+        assert d_relabelled > d_plain, (n, x, b)
 
 
 def test_signed_sums_are_one_read_only_table_per_n():

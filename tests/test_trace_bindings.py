@@ -33,3 +33,17 @@ def test_every_traced_layer_is_rebound_and_restored():
             assert wrapper is not original and wrapper.__wrapped__ is original
     for (m, fn), original in originals.items():
         assert getattr(homes[m], fn) is original
+
+
+def test_the_test_oracles_stay_traceable_but_unexported():
+    # the trace binds run_instance and enumerate_functions in
+    # carsdj.algorithm; the package root offers neither, nor cars_spectrum,
+    # which lives with the tests
+    import carsdj
+    import carsdj.algorithm
+
+    oracles = ("run_instance", "enumerate_functions")
+    assert all(callable(getattr(carsdj.algorithm, name, None)) for name in oracles)
+    for name in (*oracles, "cars_spectrum"):
+        assert not hasattr(carsdj, name), name
+        assert name not in carsdj.__all__, name
