@@ -245,8 +245,9 @@ class RunOptions:
 class Outcomes:
     """Every function on n points evaluated at one delay.
 
-    ``signals[i]`` belongs to function i of ``enumerate_functions(n)``.
-    Equality is identity: the fields hold an array.
+    ``signals[i]`` belongs to the function f with f(k) = bit k of i, so
+    the constant functions are columns 0 and 2^n - 1.  Equality is
+    identity: the fields hold an array.
     """
 
     n: int
@@ -537,9 +538,9 @@ def sweep_delay(
 def distinguishability(outcomes: Outcomes) -> float:
     """D = 1 - max(balanced signal) / constant signal.
 
-    The two constant functions give identical signals up to a global
-    phase; that equality is checked here, and the larger value is used
-    as the reference.
+    ``all_outcomes`` mirrors the complements, so there the two constant
+    signals are bit-equal; the check that they agree to rounding guards
+    hand-built ``Outcomes``, and the larger value is the reference.
     """
     signals = outcomes.signals
     balanced = signals[_selection(outcomes.n).balanced]

@@ -20,9 +20,11 @@ Six subcommands cover the standard reproductions:
 Configuration is a flat ``key=value`` file ('#' starts a comment).
 Each subcommand yields its tables and ``main`` alone writes them.  Every
 output CSV begins with comment lines echoing the fully resolved
-configuration, so identical inputs produce byte-identical files.  Exit
-codes: 0 success, 1 invalid configuration, 2 numerical failure (a
-non-finite cell included).
+configuration, so identical inputs produce byte-identical files on the
+same BLAS thread count; the reference bytes are those of one thread
+(``OPENBLAS_NUM_THREADS=1``), since the eigensolve's last bits move with
+the count.  Exit codes: 0 success, 1 invalid configuration, 2 numerical
+failure (a non-finite cell included).
 """
 
 from __future__ import annotations
@@ -491,9 +493,11 @@ def _write_csv(path: Path, header: list[str], table: Table) -> None:
     print(f"wrote {path} ({len(rows)} rows)")
 
 
-def _parse_masks(text: str | None, n: int) -> list[BooleanFunction]:
+def _parse_masks(args, n: int, *defaults: tuple[int, ...]) -> list[BooleanFunction]:
+    """The masks of ``--mask``, or the bit tuples ``defaults`` without it."""
+    text = getattr(args, "mask", None)
     if text is None:
-        return []
+        return [BooleanFunction(bits) for bits in defaults]
     masks = []
     for token in text.split(","):
         token = token.strip()
@@ -623,9 +627,7 @@ def _cmd_pulses(config: ExperimentConfig, args) -> Iterator[Table]:
     """complex pulse spectra"""
     window = config.resolved_window()
     model, tau_b = _delay_model(config, "tau")
-    masks = _parse_masks(getattr(args, "mask", None), config.n)
-    if not masks:
-        masks = [BooleanFunction((0,) * config.n)]
+    masks = _parse_masks(args, config.n, (0,) * config.n)
     delay = config.tau[0] * tau_b
     probe_level = min(max(PERIOD_LEVEL, window[0]), window[1])
 
@@ -654,11 +656,8 @@ def _cmd_sweep(config: ExperimentConfig, args) -> Iterator[Table]:
     """signal-versus-delay traces"""
     model, tau_b = _delay_model(config, "sweep_max_multiple")
     options = config.run_options()
-    masks = _parse_masks(getattr(args, "mask", None), config.n)
-    if not masks:
-        constant = BooleanFunction((0,) * config.n)
-        alternating = BooleanFunction(tuple(k % 2 for k in range(config.n)))
-        masks = [constant, alternating]
+    alternating = tuple(k % 2 for k in range(config.n))
+    masks = _parse_masks(args, config.n, (0,) * config.n, alternating)
     multiples = np.linspace(0.0, config.sweep_max_multiple, config.sweep_points)
     for f in masks:
         trace = sweep_delay(model, f, multiples, options)

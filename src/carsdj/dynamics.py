@@ -218,9 +218,11 @@ def random_oracle_configs(
     """``k`` random (w_window, v_target, pump, stokes) oracle inputs.
 
     Windows span 2-6 levels; both carriers sit within 120 cm^-1 of the
-    mid-window lines nu(mid, 0) and nu(mid, v_target).  The Stokes pulse
-    arrives 0-900 fs after time zero.  ValueError unless the windows' lines
-    are positive and ascend at the highest target, which has the lowest.
+    mid-window lines nu(mid, 0) and nu(mid, v_target).  Arrivals lie in
+    [-50, 50] fs for the pump and [0, 900] fs for the Stokes pulse; each
+    draws carrier offset, duration, amplitude and arrival, in that order.
+    ValueError unless the windows' lines are positive and ascend at the
+    highest target, which has the lowest.
     """
     w_first, w_last = ORACLE_UPPER_LEVELS
     v_first, v_last = ORACLE_TARGET_LEVELS
@@ -231,19 +233,15 @@ def random_oracle_configs(
         w_hi = w_lo + int(rng.integers(1, 6))  # at most w_last
         v_target = int(rng.integers(v_first, v_last + 1))
         mid = (w_lo + w_hi) // 2
-        pump = PulseSpec(
-            center=transition_wavenumber(model, mid, 0)
-            + float(rng.uniform(-120.0, 120.0)),
-            duration_fwhm=float(rng.uniform(15.0, 150.0)),
-            amplitude=float(rng.uniform(0.3, 3.0)),
-            delay=float(rng.uniform(-50.0, 50.0)),
-        )
-        stokes = PulseSpec(
-            center=transition_wavenumber(model, mid, v_target)
-            + float(rng.uniform(-120.0, 120.0)),
-            duration_fwhm=float(rng.uniform(15.0, 150.0)),
-            amplitude=float(rng.uniform(0.3, 3.0)),
-            delay=float(rng.uniform(0.0, 900.0)),
+        pump, stokes = (
+            PulseSpec(
+                center=transition_wavenumber(model, mid, v)
+                + float(rng.uniform(-120.0, 120.0)),
+                duration_fwhm=float(rng.uniform(15.0, 150.0)),
+                amplitude=float(rng.uniform(0.3, 3.0)),
+                delay=float(rng.uniform(*arrival)),
+            )
+            for v, arrival in ((0, (-50.0, 50.0)), (v_target, (0.0, 900.0)))
         )
         configs.append(((w_lo, w_hi), v_target, pump, stokes))
     return configs

@@ -840,6 +840,7 @@ def test_delays_that_overflow_exit_with_code_one(tmp_path, capsys, text, command
         ("reduced_mass = 1e-300\n", "x_beta = 1.858 and reduced_mass = 1e-300 bind no"),
         ("x_d_e = 1e-300\n", "x_d_e = 1e-300, x_beta = 1.858 and reduced_mass = 63.45"),
         ("b_d_e = 1e-300\n", "b_d_e = 1e-300, b_beta = 1.85 and reduced_mass = 63.45"),
+        ("x_d_e = 1e14\nx_beta = 13\n", "too steep for any grid"),
     ],
 )
 def test_grid_problems_name_their_cause(tmp_path, capsys, text, message):
