@@ -20,11 +20,11 @@ Six subcommands cover the standard reproductions:
 Configuration is a flat ``key=value`` file ('#' starts a comment).
 Each subcommand yields its tables and ``main`` alone writes them.  Every
 output CSV begins with comment lines echoing the fully resolved
-configuration, so identical inputs produce byte-identical files on the
-same BLAS thread count; the reference bytes are those of one thread
-(``OPENBLAS_NUM_THREADS=1``), since the eigensolve's last bits move with
-the count.  Exit codes: 0 success, 1 invalid configuration, 2 numerical
-failure (a non-finite cell included).
+configuration, so identical inputs produce byte-identical files whatever
+the BLAS thread count: the model build runs its eigensolves on one thread
+of scipy's OpenBLAS.  Exit codes: 0 success, 1 invalid configuration or
+an output that cannot be written, 2 numerical failure (a non-finite cell
+included).
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import Field, dataclass, field, fields, replace
 from itertools import groupby
 from pathlib import Path
@@ -479,9 +480,10 @@ class Table(NamedTuple):
     extra: tuple[tuple[str, object], ...] = ()
 
 
-def _write_csv(path: Path, header: list[str], table: Table) -> None:
+def _write_csv(path: Path, header: list[str], table: Table) -> int:
     """Write the run's header lines and the table's own keys, then one line
-    per row of its columns, every line from one %-template."""
+    per row of its columns, every line from one %-template; return the
+    number of rows."""
     lines = [*header, *(f"# {name}={_fmt(value)}" for name, value in table.extra)]
     lines.append(",".join(table.columns))
     conversions, cells = zip(*map(_column, table.columns.values()))
@@ -490,7 +492,7 @@ def _write_csv(path: Path, header: list[str], table: Table) -> None:
     lines.extend(rows)
     with open(path, "w", newline="") as handle:
         handle.write("\n".join(lines) + "\n")
-    print(f"wrote {path} ({len(rows)} rows)")
+    return len(rows)
 
 
 def _parse_masks(args, n: int, *defaults: tuple[int, ...]) -> list[BooleanFunction]:
@@ -600,22 +602,24 @@ def _spectrum(
     return Table(name, {"nu_cm1": nu, "re_amp": amp.real, "im_amp": amp.imag}, extra)
 
 
-def _delay_model(config: ExperimentConfig, key: str) -> tuple[VibronicModel, float]:
+def _delay_model(
+    config: ExperimentConfig, key: str, multiple: float
+) -> tuple[VibronicModel, float]:
     """Model of a run timed in upper-state periods, and the period tau_B;
-    ConfigError unless the delays under ``key`` keep every transition's
-    evolution phase finite."""
+    ConfigError unless ``multiple``, the largest delay under ``key`` the run
+    uses, keeps every transition's evolution phase finite."""
     model = config.build()
     tau_b = vibrational_period(model, "B", PERIOD_LEVEL)
-    _check_phase(config, key, tau_b, model.nu.max())
+    _check_phase(key, multiple, tau_b, model.nu.max())
     return model, tau_b
 
 
 def _check_phase(
-    config: ExperimentConfig, key: str, tau_b: float, nu: float, grid: str = ""
+    key: str, multiple: float, tau_b: float, nu: float, grid: str = ""
 ) -> None:
-    """ConfigError unless the largest delay under ``key`` keeps 2 pi c nu tau
-    finite; ``grid`` names what set nu, when it is not a transition."""
-    multiple = float(np.max(getattr(config, key)))
+    """ConfigError unless the delay ``multiple`` under ``key`` keeps
+    2 pi c nu tau finite; ``grid`` names what set nu, when it is not a
+    transition."""
     if not np.isfinite(TWO_PI_C * float(nu) * (multiple * tau_b)):
         raise ConfigError(
             f"{key} = {multiple:g} is too large: the delay of "
@@ -626,7 +630,8 @@ def _check_phase(
 def _cmd_pulses(config: ExperimentConfig, args) -> Iterator[Table]:
     """complex pulse spectra"""
     window = config.resolved_window()
-    model, tau_b = _delay_model(config, "tau")
+    # The spectra carry the first delay only, so only it is checked.
+    model, tau_b = _delay_model(config, "tau", config.tau[0])
     masks = _parse_masks(args, config.n, (0,) * config.n)
     delay = config.tau[0] * tau_b
     probe_level = min(max(PERIOD_LEVEL, window[0]), window[1])
@@ -637,7 +642,7 @@ def _cmd_pulses(config: ExperimentConfig, args) -> Iterator[Table]:
     stokes = designs[0][1]
     stokes_nu = _spectrum_grid(stokes, "stokes")
     grid = f" on the spectrum of stokes_duration = {stokes.duration_fwhm:.4g} fs"
-    _check_phase(config, "tau", tau_b, np.abs(stokes_nu).max(), grid)
+    _check_phase("tau", config.tau[0], tau_b, np.abs(stokes_nu).max(), grid)
     probe = design_probe(model, probe_level, config.v_target, config.probe_duration)
     if config.flat:
         probe = replace(probe, flat=True)
@@ -654,7 +659,9 @@ def _cmd_pulses(config: ExperimentConfig, args) -> Iterator[Table]:
 
 def _cmd_sweep(config: ExperimentConfig, args) -> Iterator[Table]:
     """signal-versus-delay traces"""
-    model, tau_b = _delay_model(config, "sweep_max_multiple")
+    model, tau_b = _delay_model(
+        config, "sweep_max_multiple", config.sweep_max_multiple
+    )
     options = config.run_options()
     alternating = tuple(k % 2 for k in range(config.n))
     masks = _parse_masks(args, config.n, (0,) * config.n, alternating)
@@ -681,7 +688,7 @@ def _cmd_table1(config: ExperimentConfig, args) -> Iterator[Table]:
             f"n = {config.n} does not apply to table1: its rows run n = "
             f"{', '.join(map(str, sizes))}, so it would change only the header"
         )
-    model, _ = _delay_model(config, "tau")
+    model, _ = _delay_model(config, "tau", max(config.tau))
     table = fidelity_table(model, config.tau, config.run_options())
     metrics = ("n", "tau_multiple", "tailored", "r", "d", "r_pct", "d_pct")
     yield Table(
@@ -831,6 +838,15 @@ def _load_config(args) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
+@contextmanager
+def _writing_out_dir(out_dir: str) -> Iterator[None]:
+    """ConfigError naming ``out_dir`` for an OSError raised inside."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write to out_dir {out_dir!r}: {exc}") from None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -838,28 +854,31 @@ def main(argv: list[str] | None = None) -> int:
         config = _load_config(args)
         out = Path(config.out_dir)
         header = [f"# command={args.command}", *_config_lines(config)]
-        try:
+        with _writing_out_dir(config.out_dir):
             out.mkdir(parents=True, exist_ok=True)
-            for table in _COMMANDS[args.command](config, args):
-                path = out / table.name
-                for name, values in table.columns.items():
-                    cells = np.asarray(values)
-                    if cells.dtype.kind == "f" and not np.isfinite(cells).all():
-                        raise RuntimeError(
-                            f"column {name!r} of {path} holds a non-finite cell; "
-                            "the file is not written"
-                        )
-                _write_csv(path, header, table)
-        except OSError as exc:
-            raise ConfigError(
-                f"cannot write to out_dir {config.out_dir!r}: {exc}"
-            ) from None
+        for table in _COMMANDS[args.command](config, args):
+            path = out / table.name
+            for name, values in table.columns.items():
+                cells = np.asarray(values)
+                if cells.dtype.kind == "f" and not np.isfinite(cells).all():
+                    raise RuntimeError(
+                        f"column {name!r} of {path} holds a non-finite cell; "
+                        "the file is not written"
+                    )
+            with _writing_out_dir(config.out_dir):
+                rows = _write_csv(path, header, table)
+            print(f"wrote {path} ({rows} rows)")
+        sys.stdout.flush()
     except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        # Every file write is mapped to out_dir above; this is stdout.
+        print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

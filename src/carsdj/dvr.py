@@ -15,11 +15,15 @@ wavelength, so modest grids give spectroscopic accuracy.
 
 from __future__ import annotations
 
+import ctypes
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.cython_lapack
+import scipy.linalg.lapack
 
 from .constants import HBARSQ_CM1_AMU_ANG2
 
@@ -146,13 +150,130 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * np.where(first < 0.0, -1.0, 1.0)[:, None]
 
 
+def _capsule_pointer(capsule: object) -> int:
+    """Address held by a PyCapsule, whatever its name."""
+    api = ctypes.pythonapi
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", api)
+    )
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api)
+    )
+    return get_pointer(capsule, get_name(capsule))
+
+
+_INT = ctypes.POINTER(ctypes.c_int)
+_DOUBLE = ctypes.POINTER(ctypes.c_double)
+# jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol, m, w, z, ldz, isuppz,
+# work, lwork, iwork, liwork, info
+_DSYEVR_TYPE = ctypes.CFUNCTYPE(
+    None,
+    *(ctypes.c_char_p,) * 3,
+    *(_INT, _DOUBLE, _INT, _DOUBLE, _DOUBLE, _INT, _INT, _DOUBLE, _INT, _DOUBLE),
+    *(_DOUBLE, _INT, _INT, _DOUBLE, _INT, _INT, _INT, _INT),
+)
+# scipy's own dsyevr, the routine scipy.linalg.eigh calls by default,
+# through its Cython export.  A ctypes call releases the GIL, which eigh's
+# f2py wrapper holds, so two threads can each solve a curve at once.
+_DSYEVR = _DSYEVR_TYPE(_capsule_pointer(scipy.linalg.cython_lapack.__pyx_capi__["dsyevr"]))
+
+
+def _dsyevr(hamiltonian: np.ndarray, n_states: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest ``n_states`` eigenvalues and eigenvector columns of a square
+    symmetric matrix, from its lower triangle.
+
+    The arguments are those ``scipy.linalg.eigh(hamiltonian,
+    subset_by_index=[0, n_states - 1])`` passes, an F-ordered float copy of
+    the matrix included, so the bits are its bits.  LinAlgError if the
+    routine fails.
+    """
+    a = np.array(hamiltonian, dtype=float, order="F")
+    n = a.shape[0]
+    lwork, liwork, query = map(int, scipy.linalg.lapack.dsyevr_lwork(n, lower=1))
+    if query != 0:
+        raise scipy.linalg.LinAlgError(f"dsyevr_lwork returned info = {query}")
+    w = np.empty(n)
+    z = np.empty((n, n_states), order="F")
+    found, info = ctypes.c_int(), ctypes.c_int()
+
+    def i(value: int):
+        return ctypes.byref(ctypes.c_int(value))
+
+    def d(value: float):
+        return ctypes.byref(ctypes.c_double(value))
+
+    def p(array: np.ndarray):
+        return array.ctypes.data_as(_INT if array.dtype == np.intc else _DOUBLE)
+
+    _DSYEVR(
+        b"V", b"I", b"L", i(n), p(a), i(n), d(0.0), d(1.0), i(1), i(n_states),
+        d(0.0), ctypes.byref(found), p(w), p(z), i(n), p(np.empty(2 * n, np.intc)),
+        p(np.empty(lwork)), i(lwork), p(np.empty(liwork, np.intc)), i(liwork),
+        ctypes.byref(info),
+    )
+    if info.value != 0:
+        raise scipy.linalg.LinAlgError(f"dsyevr returned info = {info.value}")
+    return w[: found.value], z[:, : found.value]
+
+
+def _eigensolve(hamiltonian: np.ndarray, n_states: int) -> EigenSolution:
+    """``solve_bound_states`` for a square matrix and a count in [1, dim].
+
+    It calls no traced layer, so it may run on a worker thread.  ValueError
+    if an entry is not finite, RuntimeError if the eigensolver fails.
+    """
+    if not np.isfinite(hamiltonian).all():
+        raise ValueError("hamiltonian must not contain infs or NaNs")
+    try:
+        energies, vectors = _dsyevr(hamiltonian, n_states)
+    except scipy.linalg.LinAlgError as exc:
+        raise RuntimeError(f"eigensolver failed to converge: {exc}") from exc
+    return EigenSolution(energies=energies, wavefunctions=_fix_signs(vectors.T))
+
+
+def _blas_thread_calls() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """Get and set of the thread count of the OpenBLAS scipy's LAPACK calls,
+    or None under another BLAS.  Looked up through scipy's own LAPACK
+    module, so numpy's separately bundled copy is not found instead."""
+    lib = ctypes.CDLL(scipy.linalg.cython_lapack.__file__)
+    for prefix in ("scipy_openblas", "openblas"):
+        get = getattr(lib, f"{prefix}_get_num_threads", None)
+        set_ = getattr(lib, f"{prefix}_set_num_threads", None)
+        if get is not None and set_ is not None:
+            get.restype, get.argtypes = ctypes.c_int, []
+            set_.restype, set_.argtypes = None, [ctypes.c_int]
+            return get, set_
+    return None
+
+
+_BLAS_THREADS = _blas_thread_calls()
+
+
+@contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Pin scipy's OpenBLAS to one thread for the whole process, then
+    restore its count.  One thread per eigensolve gives the same bits
+    whatever the count was, and lets two run side by side."""
+    if _BLAS_THREADS is None:
+        yield
+        return
+    get, set_ = _BLAS_THREADS
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
+
+
 def solve_bound_states(hamiltonian: np.ndarray, n_states: int) -> EigenSolution:
     """Lowest ``n_states`` eigenpairs with a deterministic sign convention.
 
     Raises
     ------
     ValueError
-        If more states are requested than the matrix dimension.
+        If the matrix is not square or has a non-finite entry, or more
+        states are requested than the matrix dimension.
     RuntimeError
         If the dense symmetric eigensolver fails to converge.
     """
@@ -163,10 +284,4 @@ def solve_bound_states(hamiltonian: np.ndarray, n_states: int) -> EigenSolution:
         raise ValueError(
             f"n_states must be in [1, {dim}], got {n_states}"
         )
-    try:
-        energies, vectors = scipy.linalg.eigh(
-            hamiltonian, subset_by_index=[0, n_states - 1]
-        )
-    except scipy.linalg.LinAlgError as exc:
-        raise RuntimeError(f"eigensolver failed to converge: {exc}") from exc
-    return EigenSolution(energies=energies, wavefunctions=_fix_signs(vectors.T))
+    return _eigensolve(hamiltonian, n_states)

@@ -11,13 +11,23 @@ uniform grid.
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .constants import C_CM_PER_FS, HBARSQ_CM1_AMU_ANG2
-from .dvr import EigenSolution, Grid, build_hamiltonian, solve_bound_states
+from .dvr import (
+    EigenSolution,
+    Grid,
+    _eigensolve,
+    _one_blas_thread,
+    build_hamiltonian,
+    solve_bound_states,
+)
 from .morse import MorseParams, morse_potential, turning_points
 
 # Iodine B-X parameters; energies cm^-1, lengths angstrom.
@@ -97,18 +107,18 @@ class VibronicModel:
         return nu
 
 
-def _solve_curve(
+def _retained(
+    sol: EigenSolution,
     params: MorseParams,
     grid: Grid,
     reduced_mass: float,
     n_requested: int,
     tag: str,
 ) -> EigenSolution:
-    """Retained states of one curve; ``tag`` is "x" (lower) or "b" (upper),
-    the prefix of the curve's parameters in error messages."""
+    """Retained states of one curve from its solved lowest states; ``tag`` is
+    "x" (lower) or "b" (upper), the prefix of the curve's parameters in
+    error messages."""
     label = "lower" if tag == "x" else "upper"
-    h = build_hamiltonian(grid, lambda r: morse_potential(params, r), reduced_mass)
-    sol = solve_bound_states(h, n_requested)
     energies = sol.energies
     # Every level of a well-relative Hamiltonian is positive; a level that
     # is not means the curve spans more orders of magnitude on the grid
@@ -187,6 +197,11 @@ def build_model(
     ``n_x`` and ``n_b`` are upper bounds; levels failing the bound-state
     cutoff are dropped.
 
+    The upper curve is solved on a worker thread while the caller solves
+    the lower one, with scipy's OpenBLAS pinned to one thread for the
+    whole process meanwhile, so the bits are those of one thread whatever
+    the count.
+
     The last model built is cached per process, keyed by the six
     arguments however they are passed, so a repeated build returns the
     same object.  Every array of the model is read-only; failed builds
@@ -204,6 +219,21 @@ def build_model(
     return _cached_model(x_params, b_params, reduced_mass, grid, n_x, n_b)
 
 
+def _start_upper_solver() -> None:
+    """The worker that solves the upper curve while the caller solves the
+    lower one, and the lock that lets one pair at a time hold the
+    process-global BLAS pin.  Nothing traced as a layer runs on the
+    worker: a trace records one thread."""
+    global _UPPER_SOLVER, _PAIR_LOCK
+    _UPPER_SOLVER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="carsdj-upper")
+    _PAIR_LOCK = threading.Lock()
+
+
+_start_upper_solver()
+# A forked child inherits the executor but not its thread.
+os.register_at_fork(after_in_child=_start_upper_solver)
+
+
 # One model: every caller that repeats a build (CLI subcommands run in one
 # process) repeats the last one, and older models would only stay alive.
 @lru_cache(maxsize=1)
@@ -216,8 +246,18 @@ def _cached_model(
     n_b: int,
 ) -> VibronicModel:
     check_build(x_params, b_params, grid, n_x, n_b)
-    x_sol = _solve_curve(x_params, grid, reduced_mass, n_x, "x")
-    b_sol = _solve_curve(b_params, grid, reduced_mass, n_b, "b")
+    h_x = build_hamiltonian(grid, lambda r: morse_potential(x_params, r), reduced_mass)
+    h_b = build_hamiltonian(grid, lambda r: morse_potential(b_params, r), reduced_mass)
+    with _PAIR_LOCK, _one_blas_thread():
+        upper = _UPPER_SOLVER.submit(_eigensolve, h_b, n_b)
+        try:
+            x_eig = solve_bound_states(h_x, n_x)
+        finally:
+            wait([upper])
+    # The lower curve's refusal comes first, as when the curves were solved
+    # one after the other.
+    x_sol = _retained(x_eig, x_params, grid, reduced_mass, n_x, "x")
+    b_sol = _retained(upper.result(), b_params, grid, reduced_mass, n_b, "b")
     return VibronicModel(
         x_states=x_sol,
         b_states=b_sol,

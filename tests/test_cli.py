@@ -1,6 +1,7 @@
 """Command-line interface: config parsing, outputs, and exit codes."""
 
 import dataclasses
+import errno
 import hashlib
 import io
 import json
@@ -816,6 +817,44 @@ def test_delays_that_overflow_exit_with_code_one(tmp_path, capsys, text, command
     assert list(out.iterdir()) == []
 
 
+def test_pulses_checks_only_the_delay_it_writes(tmp_path):
+    # The spectra carry the first delay; a later one that would overflow the
+    # phase changes nothing but the echoed tau.
+    first, both = tmp_path / "first", tmp_path / "both"
+    assert main(["pulses", "--tau", "0", "--out", str(first)]) == 0
+    assert main(["pulses", "--tau", "0,1e306", "--out", str(both)]) == 0
+    names = sorted(path.name for path in first.iterdir())
+    assert names == sorted(path.name for path in both.iterdir())
+    assert len(names) == 3
+    for name in names:
+        expect = (first / name).read_text().splitlines()
+        got = (both / name).read_text().splitlines()
+        assert "# tau=0" in expect and "# tau=0,1e+306" in got
+        drop = {"# tau=0", "# tau=0,1e+306", f"# out_dir={first}", f"# out_dir={both}"}
+        assert [line for line in got if line not in drop] == [
+            line for line in expect if line not in drop
+        ]
+
+
+class _ClosedStdout(io.TextIOBase):
+    """A stdout whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+@pytest.mark.parametrize("command", ["eigen", "table1"])
+def test_a_closed_stdout_is_named_and_not_blamed_on_out_dir(
+    tmp_path, capsys, monkeypatch, command
+):
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    assert main([command, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: cannot write to stdout: [Errno 32] Broken pipe\n"
+    # The first file was written before its line to stdout failed.
+    assert len(list(tmp_path.iterdir())) == 1
+
+
 @pytest.mark.parametrize(
     ("text", "message"),
     [
@@ -1304,15 +1343,17 @@ for name, (argv, text) in json.loads(sys.argv[1]).items():
 _ROOT = Path(__file__).resolve().parents[1]
 
 
-def _cli_hashes(tmp_path, runs):
-    """sha256 of every CSV each run writes, keyed by run name and file name."""
-    # The goldens hold with BLAS on one thread; other thread counts move the
-    # eigensolver's last digits, so the runs need their own process.
+def _cli_hashes(tmp_path, runs, threads=1):
+    """sha256 of every CSV each run writes, keyed by run name and file name,
+    from a process whose BLAS thread variables are all ``threads``."""
+    # BLAS reads the thread variables when it loads, so the runs need their
+    # own process.
+    tmp_path.mkdir(exist_ok=True)
     env = dict(
         os.environ,
-        OPENBLAS_NUM_THREADS="1",
-        OMP_NUM_THREADS="1",
-        MKL_NUM_THREADS="1",
+        OPENBLAS_NUM_THREADS=str(threads),
+        OMP_NUM_THREADS=str(threads),
+        MKL_NUM_THREADS=str(threads),
         PYTHONPATH=os.pathsep.join(
             filter(None, (str(_ROOT / "src"), os.environ.get("PYTHONPATH")))
         ),
@@ -1335,16 +1376,22 @@ def _cli_hashes(tmp_path, runs):
     }
 
 
-def test_default_csvs_match_the_golden_hashes(tmp_path):
-    # every subcommand with the default configuration, as the cli-suite
-    # benchmark workload runs them (sweep with all 16 n = 4 masks)
+def _default_runs():
+    """Every subcommand with the default configuration, as the cli-suite
+    benchmark workload runs them (sweep with all 16 n = 4 masks), and
+    their golden hashes."""
     goldens = json.loads((_ROOT / "perfbench" / "goldens.json").read_text())
     masks = ",".join(format(i, "04b")[::-1] for i in range(16))
     runs = {
         command: ([command] + (["--mask", masks] if command == "sweep" else []), "")
         for command in goldens["cli-suite"]
     }
-    assert _cli_hashes(tmp_path, runs) == goldens["cli-suite"]
+    return runs, goldens["cli-suite"]
+
+
+def test_default_csvs_match_the_golden_hashes(tmp_path):
+    runs, goldens = _default_runs()
+    assert _cli_hashes(tmp_path, runs) == goldens
 
 
 # Writer paths the default runs miss: wavefunction dumps, a tailored
@@ -1359,6 +1406,22 @@ NONDEFAULT_RUNS = {
 }
 
 
+def _nondefault_goldens():
+    return json.loads((_ROOT / "tests" / "nondefault_goldens.json").read_text())
+
+
 def test_nondefault_csvs_match_the_golden_hashes(tmp_path):
-    goldens = json.loads((_ROOT / "tests" / "nondefault_goldens.json").read_text())
-    assert _cli_hashes(tmp_path, NONDEFAULT_RUNS) == goldens
+    assert _cli_hashes(tmp_path, NONDEFAULT_RUNS) == _nondefault_goldens()
+
+
+# The goldens are the bytes of one BLAS thread, and the build pins its
+# eigensolves to one thread, so two give the same bytes.  Unpinned, two
+# threads move the eigensolver's last digits.  On a 1-CPU machine OpenBLAS
+# may cap itself at one thread, and then this test cannot fail.
+def test_two_blas_threads_give_the_golden_bytes(tmp_path):
+    runs, goldens = _default_runs()
+    assert _cli_hashes(tmp_path / "default", runs, threads=2) == goldens
+    assert (
+        _cli_hashes(tmp_path / "nondefault", NONDEFAULT_RUNS, threads=2)
+        == _nondefault_goldens()
+    )

@@ -1,13 +1,21 @@
 """Grid, kinetic operator, and bound-state solver on exactly solvable cases."""
 
+from contextlib import nullcontext
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import carsdj.dvr as dvr
 from carsdj.constants import HBARSQ_CM1_AMU_ANG2
 from carsdj.dvr import (
     Grid,
+    _dsyevr,
     _fix_signs,
+    _one_blas_thread,
     build_hamiltonian,
     kinetic_matrix,
     solve_bound_states,
@@ -193,8 +201,72 @@ def test_an_eigensolver_failure_is_a_runtime_error(monkeypatch):
     def fails(*args, **kwargs):
         raise scipy.linalg.LinAlgError("synthetic failure")
 
-    monkeypatch.setattr(scipy.linalg, "eigh", fails)
+    monkeypatch.setattr(dvr, "_dsyevr", fails)
     with pytest.raises(
         RuntimeError, match="^eigensolver failed to converge: synthetic failure$"
     ):
         solve_bound_states(np.eye(16), 2)
+
+
+def test_a_failure_the_routine_reports_is_a_runtime_error(monkeypatch):
+    # The routine's info argument is the last one; a positive info means
+    # that some eigenvalues or eigenvectors did not converge.
+    @dvr._DSYEVR_TYPE
+    def reports_failure(*args):
+        args[-1][0] = 3
+
+    monkeypatch.setattr(dvr, "_DSYEVR", reports_failure)
+    with pytest.raises(
+        RuntimeError, match="^eigensolver failed to converge: dsyevr returned info = 3$"
+    ):
+        solve_bound_states(np.eye(16), 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_hamiltonian_is_refused(bad):
+    h = np.eye(16)
+    h[3, 5] = bad
+    with pytest.raises(ValueError, match="^hamiltonian must not contain infs or NaNs$"):
+        solve_bound_states(h, 2)
+
+
+@st.composite
+def _symmetric_matrices(draw):
+    """(matrix, k): a random symmetric float or integer matrix, or a Morse
+    DVR Hamiltonian with d_e and beta perturbed, C- or F-ordered."""
+    dim = draw(st.integers(16, 600))
+    k = draw(st.integers(1, dim))
+    kind = draw(st.sampled_from(["random", "integer", "morse"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "morse":
+        base = draw(st.sampled_from([IODINE_X, IODINE_B]))
+        s = 1.0 + rng.uniform(-0.02, 0.02, size=2)
+        params = replace(base, d_e=base.d_e * s[0], beta=base.beta * s[1])
+        h = build_hamiltonian(
+            Grid(2.0, 6.5, dim), lambda r: morse_potential(params, r), IODINE_REDUCED_MASS
+        )
+    elif kind == "integer":
+        m = rng.integers(-1000, 1000, size=(dim, dim))
+        h = m + m.T
+    else:
+        m = rng.standard_normal((dim, dim))
+        h = m + m.T
+    return np.asarray(h, order=draw(st.sampled_from("CF"))), k
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(_symmetric_matrices(), st.booleans())
+def test_the_private_eigensolve_is_bit_identical_to_scipy_eigh(case, pinned):
+    # Same LAPACK routine and arguments, same bits, on one BLAS thread or
+    # on the process's count, provided both run on the same one.
+    h, k = case
+    before = h.tobytes()
+    with _one_blas_thread() if pinned else nullcontext():
+        energies, vectors = scipy.linalg.eigh(h, subset_by_index=[0, k - 1])
+        got_energies, got_vectors = _dsyevr(h, k)
+        sol = solve_bound_states(h, k)
+    assert h.tobytes() == before
+    assert got_energies.tobytes() == energies.tobytes()
+    assert got_vectors.tobytes() == vectors.tobytes()
+    assert sol.energies.tobytes() == energies.tobytes()
+    assert sol.wavefunctions.tobytes() == _fix_signs(vectors.T).tobytes()

@@ -1,18 +1,32 @@
 """Two-surface model: level accuracy, overlap structure, and window helpers."""
 
 import math
+import os
 import re
+import signal
+import sys
+import threading
+import time
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carsdj.cli import ExperimentConfig
 from carsdj.constants import HBARSQ_CM1_AMU_ANG2
-from carsdj.dvr import Grid, build_hamiltonian, solve_bound_states
+from carsdj import dvr, molecule
+from carsdj.dvr import (
+    EigenSolution,
+    Grid,
+    _fix_signs,
+    _one_blas_thread,
+    build_hamiltonian,
+    solve_bound_states,
+)
 from carsdj.molecule import (
     DEFAULT_GRID,
     IODINE_B,
@@ -20,13 +34,14 @@ from carsdj.molecule import (
     IODINE_X,
     VibronicModel,
     _cached_model,
+    _retained,
     build_model,
     checked_window,
     transition_wavenumber,
     vibrational_period,
     with_equalized_fc,
 )
-from carsdj.morse import MorseParams, morse_analytic_levels
+from carsdj.morse import MorseParams, morse_analytic_levels, morse_potential
 
 
 def test_default_model_shape(model):
@@ -318,3 +333,155 @@ def test_a_failing_build_is_not_cached():
     after = _cached_model.cache_info()
     assert after.misses == before.misses + 2
     assert after.currsize == before.currsize
+
+
+def _perturbed(i):
+    """The curves with d_e and beta of each scaled by seeded factors in 1 +/- 2 %."""
+    s = 1.0 + np.random.default_rng([7, i]).uniform(-0.02, 0.02, size=4)
+    return (
+        replace(IODINE_X, d_e=IODINE_X.d_e * s[0], beta=IODINE_X.beta * s[1]),
+        replace(IODINE_B, d_e=IODINE_B.d_e * s[2], beta=IODINE_B.beta * s[3]),
+    )
+
+
+def _serial_model(x_params, b_params):
+    """Reference: both curves solved one after the other by scipy.linalg.eigh
+    with BLAS on one thread, then retained and overlapped as a build does."""
+    states = []
+    for params, tag in ((x_params, "x"), (b_params, "b")):
+        h = build_hamiltonian(
+            DEFAULT_GRID, lambda r: morse_potential(params, r), IODINE_REDUCED_MASS
+        )
+        with _one_blas_thread():
+            energies, vectors = scipy.linalg.eigh(h, subset_by_index=[0, 39])
+        solved = EigenSolution(energies, _fix_signs(vectors.T))
+        states.append(
+            _retained(solved, params, DEFAULT_GRID, IODINE_REDUCED_MASS, 40, tag)
+        )
+    x_sol, b_sol = states
+    fc = b_sol.wavefunctions @ x_sol.wavefunctions.T
+    return fc, x_sol.energies, x_sol.wavefunctions, b_sol.energies, b_sol.wavefunctions
+
+
+def _assert_same_bits(model, reference):
+    for built, expect in zip(_model_arrays(model), reference):
+        assert built.tobytes() == expect.tobytes()
+
+
+@pytest.fixture
+def two_blas_threads():
+    """scipy's OpenBLAS set to two threads for the test, then restored, so a
+    build that leaks its one-thread pin or runs unpinned shows."""
+    if dvr._BLAS_THREADS is None:
+        pytest.skip("scipy's LAPACK is not OpenBLAS")
+    get, set_ = dvr._BLAS_THREADS
+    before = get()
+    set_(2)
+    try:
+        yield get
+    finally:
+        set_(before)
+
+
+def test_concurrent_builds_equal_the_serial_eigh_builds_bit_for_bit(two_blas_threads):
+    for i in range(8):
+        x_params, b_params = _perturbed(i)
+        model = build_model(x_params=x_params, b_params=b_params)
+        _assert_same_bits(model, _serial_model(x_params, b_params))
+        assert two_blas_threads() == 2
+
+
+def test_a_failing_build_restores_the_blas_thread_count(two_blas_threads):
+    with pytest.raises(ValueError, match="too small"):
+        build_model(grid=Grid(2.4, 3.2, 64))
+    assert two_blas_threads() == 2
+
+
+def test_when_both_curves_fail_the_lower_curve_is_named():
+    x_params = replace(IODINE_X, beta=1e-300)
+    b_params = replace(IODINE_B, beta=1e-300)
+    with pytest.raises(ValueError, match=r"^x_r_e = .* of lower level 39 at"):
+        build_model(x_params=x_params, b_params=b_params)
+    with pytest.raises(ValueError, match=r"^b_r_e = .* of upper level 39 at"):
+        build_model(b_params=b_params)
+
+
+def test_the_lower_curve_s_refusal_wins_over_an_upper_solver_failure(monkeypatch):
+    def fails(hamiltonian, n_states):
+        raise RuntimeError("eigensolver failed to converge: synthetic failure")
+
+    monkeypatch.setattr(molecule, "_eigensolve", fails)
+    with pytest.raises(ValueError, match="^x_r_e = "):
+        build_model(x_params=replace(IODINE_X, beta=1e-300))
+    with pytest.raises(RuntimeError, match="synthetic failure$"):
+        build_model(x_params=_perturbed(0)[0])
+
+
+def test_the_upper_solve_ends_before_the_pin_is_released(monkeypatch, two_blas_threads):
+    # The caller's solve fails at once; the upper solve, still running,
+    # must see the one-thread pin until it returns.
+    seen = []
+
+    def slow(hamiltonian, n_states):
+        time.sleep(0.2)
+        seen.append(two_blas_threads())
+        raise RuntimeError("upper")
+
+    def fails(hamiltonian, n_states):
+        raise RuntimeError("lower")
+
+    monkeypatch.setattr(molecule, "_eigensolve", slow)
+    monkeypatch.setattr(molecule, "solve_bound_states", fails)
+    with pytest.raises(RuntimeError, match="^lower$"):
+        build_model(x_params=_perturbed(1)[0])
+    assert seen == [1]
+    assert two_blas_threads() == 2
+
+
+def test_builds_from_many_threads_keep_their_bits(two_blas_threads):
+    # More callers than CPUs, switching often: a pin released by one pair
+    # while another pair solves would give the other pair two-thread bits.
+    draws = [_perturbed(i) for i in range(10, 16)]
+    expect = [_serial_model(*draw) for draw in draws]
+    got = [None] * len(draws)
+
+    def build(k):
+        x_params, b_params = draws[k]
+        got[k] = build_model(x_params=x_params, b_params=b_params)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(k,)) for k in range(len(draws))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for model, reference in zip(got, expect):
+        _assert_same_bits(model, reference)
+    assert two_blas_threads() == 2
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_builds_a_model():
+    # The child inherits the parent's idle worker but not its thread; a
+    # submit to it would wait forever.
+    build_model(x_params=_perturbed(2)[0])
+    with warnings.catch_warnings():
+        # Python 3.12 on warns of a fork in a process with threads.
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            signal.alarm(20)
+            x_params, b_params = _perturbed(3)
+            model = build_model(x_params=x_params, b_params=b_params)
+            status = 0 if model.n_x == 40 else 1
+        finally:
+            os._exit(status)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
