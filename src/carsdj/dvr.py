@@ -16,6 +16,8 @@ wavelength, so modest grids give spectroscopic accuracy.
 from __future__ import annotations
 
 import ctypes
+import os
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -217,9 +219,8 @@ def _dsyevr(hamiltonian: np.ndarray, n_states: int) -> tuple[np.ndarray, np.ndar
 
 
 def _eigensolve(hamiltonian: np.ndarray, n_states: int) -> EigenSolution:
-    """``solve_bound_states`` for a square matrix and a count in [1, dim].
-
-    It calls no traced layer, so it may run on a worker thread.  ValueError
+    """``solve_bound_states`` for a square matrix and a count in [1, dim],
+    unpinned and untraced, for a worker inside its caller's pin.  ValueError
     if an entry is not finite, RuntimeError if the eigensolver fails.
     """
     if not np.isfinite(hamiltonian).all():
@@ -247,27 +248,43 @@ def _blas_thread_calls() -> tuple[Callable[[], int], Callable[[int], None]] | No
 
 
 _BLAS_THREADS = _blas_thread_calls()
+_PIN_LOCK = threading.RLock()
+
+
+def _fresh_pin_lock() -> None:
+    """A forked child's lock: the thread that held the parent's is gone."""
+    global _PIN_LOCK
+    _PIN_LOCK = threading.RLock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_fresh_pin_lock)
 
 
 @contextmanager
 def _one_blas_thread() -> Iterator[None]:
     """Pin scipy's OpenBLAS to one thread for the whole process, then
     restore its count.  One thread per eigensolve gives the same bits
-    whatever the count was, and lets two run side by side."""
-    if _BLAS_THREADS is None:
-        yield
-        return
-    get, set_ = _BLAS_THREADS
-    previous = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(previous)
+    whatever the count was, and lets two run side by side.  One thread
+    holds the pin at a time and may take it again; a worker running inside
+    its caller's pin must not take it, or it waits forever."""
+    with _PIN_LOCK:
+        if _BLAS_THREADS is None:
+            yield
+            return
+        get, set_ = _BLAS_THREADS
+        previous = get()
+        set_(1)
+        try:
+            yield
+        finally:
+            set_(previous)
 
 
 def solve_bound_states(hamiltonian: np.ndarray, n_states: int) -> EigenSolution:
     """Lowest ``n_states`` eigenpairs with a deterministic sign convention.
+
+    Solved under ``_one_blas_thread``: one BLAS thread's bits, whatever the count.
 
     Raises
     ------
@@ -284,4 +301,5 @@ def solve_bound_states(hamiltonian: np.ndarray, n_states: int) -> EigenSolution:
         raise ValueError(
             f"n_states must be in [1, {dim}], got {n_states}"
         )
-    return _eigensolve(hamiltonian, n_states)
+    with _one_blas_thread():
+        return _eigensolve(hamiltonian, n_states)

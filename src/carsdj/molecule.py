@@ -11,9 +11,7 @@ uniform grid.
 from __future__ import annotations
 
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
@@ -197,10 +195,10 @@ def build_model(
     ``n_x`` and ``n_b`` are upper bounds; levels failing the bound-state
     cutoff are dropped.
 
-    The upper curve is solved on a worker thread while the caller solves
-    the lower one, with scipy's OpenBLAS pinned to one thread for the
-    whole process meanwhile, so the bits are those of one thread whatever
-    the count.
+    The upper curve is solved on a worker thread that lives for the
+    build while the caller solves the lower one, with scipy's OpenBLAS
+    pinned to one thread for the whole process meanwhile, so the bits are
+    those of one thread whatever the count.  No thread outlives the build.
 
     The last model built is cached per process, keyed by the six
     arguments however they are passed, so a repeated build returns the
@@ -219,21 +217,6 @@ def build_model(
     return _cached_model(x_params, b_params, reduced_mass, grid, n_x, n_b)
 
 
-def _start_upper_solver() -> None:
-    """The worker that solves the upper curve while the caller solves the
-    lower one, and the lock that lets one pair at a time hold the
-    process-global BLAS pin.  Nothing traced as a layer runs on the
-    worker: a trace records one thread."""
-    global _UPPER_SOLVER, _PAIR_LOCK
-    _UPPER_SOLVER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="carsdj-upper")
-    _PAIR_LOCK = threading.Lock()
-
-
-_start_upper_solver()
-# A forked child inherits the executor but not its thread.
-os.register_at_fork(after_in_child=_start_upper_solver)
-
-
 # One model: every caller that repeats a build (CLI subcommands run in one
 # process) repeats the last one, and older models would only stay alive.
 @lru_cache(maxsize=1)
@@ -248,14 +231,12 @@ def _cached_model(
     check_build(x_params, b_params, grid, n_x, n_b)
     h_x = build_hamiltonian(grid, lambda r: morse_potential(x_params, r), reduced_mass)
     h_b = build_hamiltonian(grid, lambda r: morse_potential(b_params, r), reduced_mass)
-    with _PAIR_LOCK, _one_blas_thread():
-        upper = _UPPER_SOLVER.submit(_eigensolve, h_b, n_b)
-        try:
-            x_eig = solve_bound_states(h_x, n_x)
-        finally:
-            wait([upper])
-    # The lower curve's refusal comes first, as when the curves were solved
-    # one after the other.
+    # Leaving the executor joins the worker before the pin is released.  No
+    # traced layer runs on the worker: a trace records one thread.
+    with _one_blas_thread(), ThreadPoolExecutor(1, "carsdj-upper") as worker:
+        upper = worker.submit(_eigensolve, h_b, n_b)
+        x_eig = solve_bound_states(h_x, n_x)
+    # The lower curve's refusal comes first, however the two solves ended.
     x_sol = _retained(x_eig, x_params, grid, reduced_mass, n_x, "x")
     b_sol = _retained(upper.result(), b_params, grid, reduced_mass, n_b, "b")
     return VibronicModel(

@@ -4,11 +4,13 @@ import math
 import os
 import re
 import signal
+import subprocess
 import sys
 import threading
 import time
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -391,6 +393,21 @@ def test_concurrent_builds_equal_the_serial_eigh_builds_bit_for_bit(two_blas_thr
         assert two_blas_threads() == 2
 
 
+def test_a_direct_solve_gives_the_one_thread_bytes(two_blas_threads):
+    # Unpinned, two threads move the eigensolver's last digits.  On a 1-CPU
+    # machine OpenBLAS may cap itself at one thread, and then this test
+    # cannot fail.
+    h = build_hamiltonian(
+        DEFAULT_GRID, lambda r: morse_potential(IODINE_B, r), IODINE_REDUCED_MASS
+    )
+    with _one_blas_thread():
+        energies, vectors = scipy.linalg.eigh(h, subset_by_index=[0, 39])
+    sol = solve_bound_states(h, 40)
+    assert sol.energies.tobytes() == energies.tobytes()
+    assert sol.wavefunctions.tobytes() == _fix_signs(vectors.T).tobytes()
+    assert two_blas_threads() == 2
+
+
 def test_a_failing_build_restores_the_blas_thread_count(two_blas_threads):
     with pytest.raises(ValueError, match="too small"):
         build_model(grid=Grid(2.4, 3.2, 64))
@@ -467,8 +484,8 @@ def test_builds_from_many_threads_keep_their_bits(two_blas_threads):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_builds_a_model():
-    # The child inherits the parent's idle worker but not its thread; a
-    # submit to it would wait forever.
+    # A fork carries no thread over; the parent's build must leave nothing
+    # the child's build would wait on.
     build_model(x_params=_perturbed(2)[0])
     with warnings.catch_warnings():
         # Python 3.12 on warns of a fork in a process with threads.
@@ -485,3 +502,63 @@ def test_a_forked_child_builds_a_model():
             os._exit(status)
     _, status = os.waitpid(pid, 0)
     assert os.waitstatus_to_exitcode(status) == 0
+
+
+def _build_threads():
+    return [t.name for t in threading.enumerate() if t.name.startswith("carsdj-upper")]
+
+
+def test_no_thread_outlives_a_build():
+    # An idle thread would make every later os.fork() warn on Python 3.12 on.
+    build_model(x_params=_perturbed(20)[0])
+    assert _build_threads() == []
+    with pytest.raises(ValueError, match="too small"):
+        build_model(grid=Grid(2.4, 3.2, 64))
+    assert _build_threads() == []
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_child_forked_while_another_thread_holds_the_pin_builds_a_model():
+    # The child inherits the pin's lock, held by a thread it does not have;
+    # without a fresh lock its build would wait forever.
+    held, release = threading.Event(), threading.Event()
+
+    def hold():
+        with _one_blas_thread():
+            held.set()
+            release.wait()
+
+    holder = threading.Thread(target=hold)
+    holder.start()
+    try:
+        held.wait()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                signal.alarm(10)
+                status = 0 if build_model(x_params=_perturbed(4)[0]).n_x == 40 else 1
+            finally:
+                os._exit(status)
+        _, status = os.waitpid(pid, 0)
+    finally:
+        release.set()
+        holder.join()
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+def test_a_model_builds_without_register_at_fork():
+    # Windows has no os.register_at_fork.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
+    )
+    code = "import os; del os.register_at_fork; import carsdj; print(carsdj.build_model().n_x)"
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert run.stdout == "40\n"
