@@ -71,6 +71,7 @@ from .molecule import (
     VibronicModel,
     build_model,
     check_build,
+    checked_lines,
     vibrational_period,
 )
 from .morse import (
@@ -83,6 +84,9 @@ from .pulses import DEFAULT_PROBE_DURATION, PulseSpec, design_probe, spectral_am
 
 # Largest admissible frequency/time-domain disagreement for oracle-check.
 ORACLE_TOLERANCE = 1e-6
+# Largest delay phase a double holds to ORACLE_TOLERANCE: past it, the
+# phase modulo 2 pi has lost digits the oracle check demands.
+_PHASE_LIMIT = ORACLE_TOLERANCE / np.finfo(float).eps
 
 _SPECTRUM_POINTS = 2001
 
@@ -607,9 +611,12 @@ def _delay_model(
 ) -> tuple[VibronicModel, float]:
     """Model of a run timed in upper-state periods, and the period tau_B;
     ConfigError unless ``multiple``, the largest delay under ``key`` the run
-    uses, keeps every transition's evolution phase finite."""
+    uses, keeps every transition's evolution phase finite and precise."""
     model = config.build()
     tau_b = vibrational_period(model, "B", PERIOD_LEVEL)
+    # The pump's lines first, as the run checks them: an offset that rounds
+    # them together also leaves the phase no digit, and it is the key to name.
+    checked_lines(model, config.resolved_window(), 0, "lower level 0")
     _check_phase(key, multiple, tau_b, model.nu.max())
     return model, tau_b
 
@@ -618,12 +625,20 @@ def _check_phase(
     key: str, multiple: float, tau_b: float, nu: float, grid: str = ""
 ) -> None:
     """ConfigError unless the delay ``multiple`` under ``key`` keeps
-    2 pi c nu tau finite; ``grid`` names what set nu, when it is not a
-    transition."""
-    if not np.isfinite(TWO_PI_C * float(nu) * (multiple * tau_b)):
+    2 pi c nu tau finite and within ``_PHASE_LIMIT``; ``grid`` names what
+    set nu, when it is not a transition."""
+    phase = TWO_PI_C * float(nu) * (multiple * tau_b)
+    if not np.isfinite(phase):
         raise ConfigError(
             f"{key} = {multiple:g} is too large: the delay of "
             f"{multiple * tau_b:g} fs overflows the phase at {nu:.4g} cm^-1{grid}"
+        )
+    if abs(phase) > _PHASE_LIMIT:
+        raise ConfigError(
+            f"{key} = {multiple:g} is too large: the delay of {multiple * tau_b:g} fs "
+            f"gives a phase of {abs(phase):.4g} rad at {nu:.4g} cm^-1{grid}, above "
+            f"{_PHASE_LIMIT:.4g} rad, where a double no longer holds it to "
+            f"{ORACLE_TOLERANCE:g} rad"
         )
 
 

@@ -16,6 +16,8 @@ wavelength, so modest grids give spectroscopic accuracy.
 from __future__ import annotations
 
 import ctypes
+import importlib.machinery
+import importlib.util
 import os
 import threading
 from contextlib import contextmanager
@@ -23,9 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
-import scipy.linalg
-import scipy.linalg.cython_lapack
-import scipy.linalg.lapack
 
 from .constants import HBARSQ_CM1_AMU_ANG2
 
@@ -107,7 +106,8 @@ def kinetic_matrix(grid: Grid, reduced_mass: float) -> np.ndarray:
             f"{grid.spacing:.4g} angstrom make the kinetic energy matrix "
             f"non-finite"
         )
-    return scipy.linalg.toeplitz(row)
+    rows = np.lib.stride_tricks.sliding_window_view(np.concatenate([row[:0:-1], row]), len(row))
+    return rows[::-1].copy()
 
 
 def build_hamiltonian(
@@ -152,16 +152,15 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * np.where(first < 0.0, -1.0, 1.0)[:, None]
 
 
-def _capsule_pointer(capsule: object) -> int:
-    """Address held by a PyCapsule, whatever its name."""
-    api = ctypes.pythonapi
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", api)
-    )
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", api)
-    )
-    return get_pointer(capsule, get_name(capsule))
+# scipy's LAPACK library, found by the import system's own rules and opened
+# by path, so scipy.linalg, about half of ``import carsdj``, is not imported.
+_LINALG = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0], "linalg")
+_LAPACK = ctypes.CDLL(importlib.machinery.PathFinder.find_spec("cython_lapack", [_LINALG]).origin)
+
+
+def _symbol(*names: str) -> str | None:
+    """The first of ``names`` that scipy's LAPACK library exports, or None."""
+    return next((name for name in names if hasattr(_LAPACK, name)), None)
 
 
 _INT = ctypes.POINTER(ctypes.c_int)
@@ -174,10 +173,14 @@ _DSYEVR_TYPE = ctypes.CFUNCTYPE(
     *(_INT, _DOUBLE, _INT, _DOUBLE, _DOUBLE, _INT, _INT, _DOUBLE, _INT, _DOUBLE),
     *(_DOUBLE, _INT, _INT, _DOUBLE, _INT, _INT, _INT, _INT),
 )
-# scipy's own dsyevr, the routine scipy.linalg.eigh calls by default,
-# through its Cython export.  A ctypes call releases the GIL, which eigh's
-# f2py wrapper holds, so two threads can each solve a curve at once.
-_DSYEVR = _DSYEVR_TYPE(_capsule_pointer(scipy.linalg.cython_lapack.__pyx_capi__["dsyevr"]))
+# scipy's own dsyevr, the routine scipy.linalg.eigh calls by default.  A
+# ctypes call releases the GIL, which eigh's f2py wrapper holds, so two
+# threads can each solve a curve at once.  scipy's wheels export it with a
+# prefix; a scipy built on another LAPACK may export the plain name.
+_DSYEVR_NAME = _symbol("scipy_dsyevr_", "dsyevr_")
+if _DSYEVR_NAME is None:
+    raise ImportError(f"{_LAPACK._name} exports neither scipy_dsyevr_ nor dsyevr_")
+_DSYEVR = _DSYEVR_TYPE((_DSYEVR_NAME, _LAPACK))
 
 
 def _dsyevr(hamiltonian: np.ndarray, n_states: int) -> tuple[np.ndarray, np.ndarray]:
@@ -186,14 +189,12 @@ def _dsyevr(hamiltonian: np.ndarray, n_states: int) -> tuple[np.ndarray, np.ndar
 
     The arguments are those ``scipy.linalg.eigh(hamiltonian,
     subset_by_index=[0, n_states - 1])`` passes, an F-ordered float copy of
-    the matrix included, so the bits are its bits.  LinAlgError if the
-    routine fails.
+    the matrix included, so the bits are its bits.  The workspace sizes
+    come from the routine's own query (``lwork = liwork = -1``), which gives
+    the sizes eigh allocates.  RuntimeError if either call fails.
     """
     a = np.array(hamiltonian, dtype=float, order="F")
     n = a.shape[0]
-    lwork, liwork, query = map(int, scipy.linalg.lapack.dsyevr_lwork(n, lower=1))
-    if query != 0:
-        raise scipy.linalg.LinAlgError(f"dsyevr_lwork returned info = {query}")
     w = np.empty(n)
     z = np.empty((n, n_states), order="F")
     found, info = ctypes.c_int(), ctypes.c_int()
@@ -207,14 +208,21 @@ def _dsyevr(hamiltonian: np.ndarray, n_states: int) -> tuple[np.ndarray, np.ndar
     def p(array: np.ndarray):
         return array.ctypes.data_as(_INT if array.dtype == np.intc else _DOUBLE)
 
-    _DSYEVR(
-        b"V", b"I", b"L", i(n), p(a), i(n), d(0.0), d(1.0), i(1), i(n_states),
-        d(0.0), ctypes.byref(found), p(w), p(z), i(n), p(np.empty(2 * n, np.intc)),
-        p(np.empty(lwork)), i(lwork), p(np.empty(liwork, np.intc)), i(liwork),
-        ctypes.byref(info),
-    )
-    if info.value != 0:
-        raise scipy.linalg.LinAlgError(f"dsyevr returned info = {info.value}")
+    def call(work: np.ndarray, iwork: np.ndarray, lwork: int, liwork: int) -> None:
+        _DSYEVR(
+            b"V", b"I", b"L", i(n), p(a), i(n), d(0.0), d(1.0), i(1), i(n_states),
+            d(0.0), ctypes.byref(found), p(w), p(z), i(n), p(np.empty(2 * n, np.intc)),
+            p(work), i(lwork), p(iwork), i(liwork), ctypes.byref(info),
+        )
+        if info.value != 0:
+            raise RuntimeError(
+                f"eigensolver failed to converge: dsyevr returned info = {info.value}"
+            )
+
+    work, iwork = np.empty(1), np.empty(1, np.intc)
+    call(work, iwork, -1, -1)
+    lwork, liwork = int(work[0]), int(iwork[0])
+    call(np.empty(lwork), np.empty(liwork, np.intc), lwork, liwork)
     return w[: found.value], z[:, : found.value]
 
 
@@ -225,36 +233,39 @@ def _eigensolve(hamiltonian: np.ndarray, n_states: int) -> EigenSolution:
     """
     if not np.isfinite(hamiltonian).all():
         raise ValueError("hamiltonian must not contain infs or NaNs")
-    try:
-        energies, vectors = _dsyevr(hamiltonian, n_states)
-    except scipy.linalg.LinAlgError as exc:
-        raise RuntimeError(f"eigensolver failed to converge: {exc}") from exc
+    energies, vectors = _dsyevr(hamiltonian, n_states)
     return EigenSolution(energies=energies, wavefunctions=_fix_signs(vectors.T))
 
 
 def _blas_thread_calls() -> tuple[Callable[[], int], Callable[[int], None]] | None:
     """Get and set of the thread count of the OpenBLAS scipy's LAPACK calls,
-    or None under another BLAS.  Looked up through scipy's own LAPACK
-    module, so numpy's separately bundled copy is not found instead."""
-    lib = ctypes.CDLL(scipy.linalg.cython_lapack.__file__)
-    for prefix in ("scipy_openblas", "openblas"):
-        get = getattr(lib, f"{prefix}_get_num_threads", None)
-        set_ = getattr(lib, f"{prefix}_set_num_threads", None)
-        if get is not None and set_ is not None:
-            get.restype, get.argtypes = ctypes.c_int, []
-            set_.restype, set_.argtypes = None, [ctypes.c_int]
-            return get, set_
-    return None
+    or None under another BLAS.  Looked up in scipy's own LAPACK library,
+    so numpy's separately bundled copy is not found instead."""
+    get = _symbol("scipy_openblas_get_num_threads", "openblas_get_num_threads")
+    if get is None:
+        return None
+    return (
+        ctypes.CFUNCTYPE(ctypes.c_int)((get, _LAPACK)),
+        ctypes.CFUNCTYPE(None, ctypes.c_int)((get.replace("_get_", "_set_"), _LAPACK)),
+    )
 
 
 _BLAS_THREADS = _blas_thread_calls()
 _PIN_LOCK = threading.RLock()
+# While a pin is held: the holder's thread id and the count from before its
+# outermost pin.
+_PIN_HELD: tuple[int, int] | None = None
 
 
 def _fresh_pin_lock() -> None:
-    """A forked child's lock: the thread that held the parent's is gone."""
-    global _PIN_LOCK
+    """A forked child's lock: the thread that held the parent's is gone.
+    Only that thread would have restored the count, so the child does it
+    here; a pin the forking thread holds restores the count on leaving."""
+    global _PIN_LOCK, _PIN_HELD
     _PIN_LOCK = threading.RLock()
+    if _PIN_HELD is not None and _PIN_HELD[0] != threading.get_ident():
+        _BLAS_THREADS[1](_PIN_HELD[1])
+        _PIN_HELD = None
 
 
 if hasattr(os, "register_at_fork"):
@@ -267,18 +278,26 @@ def _one_blas_thread() -> Iterator[None]:
     restore its count.  One thread per eigensolve gives the same bits
     whatever the count was, and lets two run side by side.  One thread
     holds the pin at a time and may take it again; a worker running inside
-    its caller's pin must not take it, or it waits forever."""
+    its caller's pin must not take it, or it waits forever.  The outermost
+    pin records its thread and the count it found in ``_PIN_HELD``, so that
+    a child forked from another thread gets that count back."""
+    global _PIN_HELD
     with _PIN_LOCK:
         if _BLAS_THREADS is None:
             yield
             return
         get, set_ = _BLAS_THREADS
         previous = get()
+        outermost = _PIN_HELD is None
+        if outermost:
+            _PIN_HELD = threading.get_ident(), previous
         set_(1)
         try:
             yield
         finally:
             set_(previous)
+            if outermost:
+                _PIN_HELD = None
 
 
 def solve_bound_states(hamiltonian: np.ndarray, n_states: int) -> EigenSolution:

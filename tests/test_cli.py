@@ -22,7 +22,14 @@ from hypothesis import strategies as st
 import carsdj.cli as cli
 from carsdj import RunOptions, all_outcomes
 from carsdj.cli import ConfigError, main, parse_config
-from carsdj.algorithm import BooleanFunction, design_pulses, prepare_model, sweep_delay
+from carsdj.algorithm import (
+    PERIOD_LEVEL,
+    BooleanFunction,
+    design_pulses,
+    prepare_model,
+    sweep_delay,
+)
+from carsdj.constants import TWO_PI_C
 from carsdj.dvr import Grid
 from carsdj.dynamics import (
     apply_stokes,
@@ -30,7 +37,7 @@ from carsdj.dynamics import (
     random_oracle_configs,
     signal_magnitude,
 )
-from carsdj.molecule import build_model
+from carsdj.molecule import build_model, vibrational_period
 from carsdj.morse import MorseParams
 
 
@@ -815,6 +822,32 @@ def test_delays_that_overflow_exit_with_code_one(tmp_path, capsys, text, command
     err = capsys.readouterr().err
     assert f"error: {key} = " in err and "overflows the phase" in err
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, key", [("table1", "tau"), ("sweep", "sweep_max_multiple")]
+)
+def test_a_delay_phase_that_keeps_no_digit_exits_with_code_one(
+    tmp_path, capsys, command, key
+):
+    # Past 1e-6 / 2^-52 rad a double holds the phase to less than 1e-6 rad;
+    # at 1e300 periods it kept none, and table1 printed D = -225 % with exit 0.
+    model = build_model()
+    per_period = TWO_PI_C * model.nu.max() * vibrational_period(model, "B", PERIOD_LEVEL)
+    bound = float(1e-6 / np.finfo(float).eps / per_period)
+    for k, (multiple, code) in enumerate(
+        ((0.999 * bound, 0), (1.001 * bound, 1), (1e300, 1))
+    ):
+        value = f"0, {multiple!r}" if key == "tau" else repr(multiple)
+        config = tmp_path / "run.conf"
+        config.write_text(f"{key} = {value}\n")
+        out = tmp_path / f"out{k}"
+        assert main([command, "--config", str(config), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert f"error: {key} = {multiple:g} is too large: " in err
+            assert "where a double no longer holds it to 1e-06 rad" in err
+            assert list(out.iterdir()) == []
 
 
 def test_pulses_checks_only_the_delay_it_writes(tmp_path):

@@ -1,7 +1,11 @@
 """Grid, kinetic operator, and bound-state solver on exactly solvable cases."""
 
+import os
+import subprocess
+import sys
 from contextlib import nullcontext
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,17 +201,6 @@ def test_solver_rejects_bad_shapes_and_counts():
         solve_bound_states(h, 17)
 
 
-def test_an_eigensolver_failure_is_a_runtime_error(monkeypatch):
-    def fails(*args, **kwargs):
-        raise scipy.linalg.LinAlgError("synthetic failure")
-
-    monkeypatch.setattr(dvr, "_dsyevr", fails)
-    with pytest.raises(
-        RuntimeError, match="^eigensolver failed to converge: synthetic failure$"
-    ):
-        solve_bound_states(np.eye(16), 2)
-
-
 def test_a_failure_the_routine_reports_is_a_runtime_error(monkeypatch):
     # The routine's info argument is the last one; a positive info means
     # that some eigenvalues or eigenvectors did not converge.
@@ -220,6 +213,60 @@ def test_a_failure_the_routine_reports_is_a_runtime_error(monkeypatch):
         RuntimeError, match="^eigensolver failed to converge: dsyevr returned info = 3$"
     ):
         solve_bound_states(np.eye(16), 2)
+
+
+def test_a_failure_the_solve_reports_after_its_query_is_a_runtime_error(monkeypatch):
+    # The routine's lwork argument is -1 in the workspace query only.
+    real = dvr._DSYEVR
+
+    @dvr._DSYEVR_TYPE
+    def solve_reports_failure(*args):
+        real(*args)
+        if args[17][0] != -1:
+            args[-1][0] = 3
+
+    monkeypatch.setattr(dvr, "_DSYEVR", solve_reports_failure)
+    with pytest.raises(
+        RuntimeError, match="^eigensolver failed to converge: dsyevr returned info = 3$"
+    ):
+        solve_bound_states(np.eye(16), 2)
+
+
+@pytest.mark.parametrize("n", [16, 37, 100, 512, 2048])
+def test_the_workspace_query_gives_the_sizes_eigh_allocates(monkeypatch, n):
+    # Only the query reaches the routine, so a large n costs nothing.
+    real, sizes = dvr._DSYEVR, []
+
+    @dvr._DSYEVR_TYPE
+    def query_only(*args):
+        sizes.append((args[17][0], args[19][0]))
+        if args[17][0] == -1:
+            real(*args)
+
+    monkeypatch.setattr(dvr, "_DSYEVR", query_only)
+    _dsyevr(np.eye(n), 1)
+    lwork, liwork, info = scipy.linalg.lapack.dsyevr_lwork(n, lower=1)
+    assert info == 0
+    assert sizes == [(-1, -1), (int(lwork), int(liwork))]
+
+
+def test_a_build_imports_no_scipy_linalg():
+    # scipy.linalg is about half of ``import carsdj``; dvr opens scipy's
+    # LAPACK library by path instead.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
+    )
+    code = (
+        "import sys, carsdj; carsdj.build_model(); "
+        "print([m for m in sys.modules if m.startswith('scipy.linalg')])"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert run.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

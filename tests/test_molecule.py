@@ -518,9 +518,12 @@ def test_no_thread_outlives_a_build():
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_a_child_forked_while_another_thread_holds_the_pin_builds_a_model():
+def test_a_child_forked_while_another_thread_holds_the_pin_builds_a_model(
+    two_blas_threads,
+):
     # The child inherits the pin's lock, held by a thread it does not have;
-    # without a fresh lock its build would wait forever.
+    # without a fresh lock its build would wait forever.  Only that thread
+    # would restore the count, so the child must get it back at the fork.
     held, release = threading.Event(), threading.Event()
 
     def hold():
@@ -539,7 +542,8 @@ def test_a_child_forked_while_another_thread_holds_the_pin_builds_a_model():
             status = 1
             try:
                 signal.alarm(10)
-                status = 0 if build_model(x_params=_perturbed(4)[0]).n_x == 40 else 1
+                model = build_model(x_params=_perturbed(4)[0])
+                status = 0 if model.n_x == 40 and two_blas_threads() == 2 else 1
             finally:
                 os._exit(status)
         _, status = os.waitpid(pid, 0)
@@ -547,6 +551,31 @@ def test_a_child_forked_while_another_thread_holds_the_pin_builds_a_model():
         release.set()
         holder.join()
     assert os.waitstatus_to_exitcode(status) == 0
+    assert two_blas_threads() == 2
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_child_forked_inside_its_own_pin_restores_the_count_on_leaving(
+    two_blas_threads,
+):
+    # The forking thread's own pin goes on in the child, which must stay on
+    # one thread until that pin ends.
+    pid, status = None, 1
+    try:
+        with _one_blas_thread():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:
+                signal.alarm(10)
+            inside = two_blas_threads()
+        status = 0 if (inside, two_blas_threads()) == (1, 2) else 1
+    finally:
+        if pid == 0:
+            os._exit(status)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert (inside, two_blas_threads()) == (1, 2)
 
 
 def test_a_model_builds_without_register_at_fork():
